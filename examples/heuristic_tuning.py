@@ -10,6 +10,7 @@ Run:  python examples/heuristic_tuning.py
 """
 
 from repro import PigSystem
+from repro.common import format_ratio
 from repro.pigmix import PigMixConfig, PigMixData
 from repro.restore import (
     AggressiveHeuristic,
@@ -68,10 +69,10 @@ def evaluate(query, label):
                                  repository=repository)
         reuse_result = reusing.submit(system.compile(query, "reuse"))
         overhead = gen_result.total_time / plain
-        speedup = plain / max(reuse_result.total_time, 1e-9)
+        speedup = format_ratio(plain, reuse_result.total_time)
         stored_mb = stored * system.cost_model.config.scale / 1024**2
         print(f"{heuristic.name:>14}  {overhead:8.2f}x  {stored_mb:10,.0f}  "
-              f"{speedup:7.1f}x")
+              f"{speedup:>8}")
     print(f"(no-reuse baseline: {plain:.0f} simulated seconds)")
 
 

@@ -14,6 +14,7 @@ Run:  python examples/log_analytics.py
 """
 
 from repro import PigSystem
+from repro.common import format_ratio
 from repro.pigmix import PigMixConfig, PigMixData
 
 LOAD_LOGS = """
@@ -88,12 +89,12 @@ def main():
         total_plain += plain.total_time
         total_restore += result.total_time
         print(f"{name:>20}  {plain.total_time:9.0f}s  {result.total_time:9.0f}s  "
-              f"{plain.total_time / max(result.total_time, 1e-9):7.1f}x  "
+              f"{format_ratio(plain.total_time, result.total_time):>8}  "
               f"{report.num_rewrites}")
 
     print("-" * 66)
     print(f"{'TOTAL':>20}  {total_plain:9.0f}s  {total_restore:9.0f}s  "
-          f"{total_plain / total_restore:7.1f}x")
+          f"{format_ratio(total_plain, total_restore):>8}")
     print(f"\nrepository: {len(restore.repository)} entries, "
           f"{restore.repository.total_stored_bytes()} stored bytes (actual)")
     reused = [e for e in restore.repository if e.stats.use_count > 0]

@@ -10,6 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import PigSystem
+from repro.common import format_ratio
 from repro.pigmix import PigMixConfig, PigMixData
 
 Q1 = """
@@ -67,14 +68,14 @@ def main():
 
     # Reuse never changes results.
     assert system.dfs.read_lines("/out/L3_out") == baseline_output
-    speedup = baseline.total_time / q2_result.total_time
-    print(f"Speedup from reuse:    {speedup:8.1f}x  (outputs verified identical)")
+    speedup = format_ratio(baseline.total_time, q2_result.total_time)
+    print(f"Speedup from reuse:    {speedup:>9}  (outputs verified identical)")
 
     # Re-submitting Q2 finds everything in the repository: the whole
     # workflow collapses.
     q2_again = restore.submit(system.compile(Q2, "q2-again"))
     print(f"Q2 re-submitted:       {q2_again.total_time:8.1f} simulated seconds "
-          f"({baseline.total_time / max(q2_again.total_time, 1e-9):.0f}x)")
+          f"({format_ratio(baseline.total_time, q2_again.total_time, '.0f')})")
     assert system.dfs.read_lines("/out/L3_out") == baseline_output
 
     print("\nRepository contents:")

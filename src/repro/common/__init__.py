@@ -16,7 +16,7 @@ from repro.common.errors import (
     RepositoryError,
 )
 from repro.common.rng import DeterministicRng
-from repro.common.units import format_bytes, GB, KB, MB
+from repro.common.units import format_bytes, format_ratio, GB, KB, MB
 
 __all__ = [
     "CompilationError",
@@ -25,6 +25,7 @@ __all__ = [
     "DfsError",
     "ExecutionError",
     "format_bytes",
+    "format_ratio",
     "GB",
     "KB",
     "LogicalClock",

@@ -26,3 +26,18 @@ def format_bytes(num_bytes):
 def format_minutes(seconds):
     """Render simulated seconds as minutes with one decimal (paper's axis)."""
     return f"{seconds / 60.0:.1f} min"
+
+
+def format_ratio(numerator, denominator, spec=".1f"):
+    """Render ``numerator / denominator`` as a speedup, or ``n/a`` when
+    the denominator is zero (a run that took no simulated time has no
+    meaningful speedup).
+
+    >>> format_ratio(30.0, 10.0)
+    '3.0x'
+    >>> format_ratio(30.0, 0.0)
+    'n/a'
+    """
+    if denominator == 0:
+        return "n/a"
+    return f"{numerator / denominator:{spec}}x"

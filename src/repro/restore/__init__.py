@@ -49,9 +49,9 @@ decision-equivalence against it on randomized workflow streams;
 Sharding (PR 2) extends the same contract to a *partitioned* store:
 :class:`repro.restore.sharding.ShardedRepository` hashes entries across
 N shards by leaf-load key, keeps the canonical-fingerprint dict as the
-global cross-shard dedup channel, fans ``match_candidates`` out only to
-the shards owning a job's load keys (through a pluggable serial or
-thread-pool executor), and merges per-shard candidates back into the
+global cross-shard dedup channel, probes only the shards owning a
+job's load keys for ``match_candidates``, and merges per-shard
+candidates back into the
 paper's priority order — identical decisions, probe cost proportional to
 the owning shards instead of the whole repository.
 
@@ -82,59 +82,10 @@ reports what it saw via
 ``docs/PERSISTENCE.md`` for the durable format and
 ``docs/ARCHITECTURE.md`` for the design.
 
-The worker-process service (PR 6) promotes each partition to a worker
-**process** behind a routing front-end:
-:class:`~repro.restore.service.ShardWorkerPool` plugs into
-:class:`~repro.restore.sharding.ShardedRepository` as
-``executor="processes"``, buffering inserts/removals per owning worker
-(batched hand-off over ``multiprocessing`` queues) and fanning probes
-out by load-key hash while ``find_equivalent``, ordering, ranking, and
-statistics stay with the coordinator — decisions bit-identical to the
-serial path. A crashed worker is respawned and re-seeded from its
-partition's own section + segment files when a
-:class:`~repro.restore.wal.RepositoryLog` is attached (which the v5
-order-delta manifests keep O(partition)), or from the front-end's
-in-memory members otherwise.
-:class:`~repro.restore.service.RepositoryService` wraps the
-process-backed repository plus optional durability in one
-context-managed standalone lifecycle.
-
-In-memory replication (PR 7) removes the durable replay from the common
-crash path and multiplies read throughput for hot shards:
-:class:`~repro.restore.replication.ReplicatedWorkerPool` keeps ``k ≥ 2``
-bit-identical worker replicas per partition, fed by the same per-shard
-mutation stream. A probe is answered by one replica, chosen round-robin
-(batches are split *across* the set, so a hot shard's probes filter
-concurrently); a crashed replica fails over warm — a surviving peer is
-promoted in place, no segment replay — with the replacement backfilled
-in the background from the durable partition snapshot; only a
-whole-set loss falls back to the PR 6 cold re-seed. Enabled by
-``ShardedRepository(executor="processes", replicas=k)`` and
-``RepositoryService(replicas=k)``; the per-shard
-:class:`~repro.restore.stats.ShardStats` grow ``failovers`` and
-``replica_fanout`` counters, and ``tests/faultinject.py`` gives the
-test suite deterministic, seed-reproducible mid-stream kills.
-
-Async ingest (PR 8) takes registration off the submit path entirely:
-``ReStore(ingest="async")`` only *captures* each registration (plan
-subtree, output path, execution statistics, clock tick) into a record
-on a bounded :class:`~repro.restore.ingest.IngestQueue` — with an
-explicit backpressure policy when it fills: ``block``, ``reject`` (the
-record is reported and its file discarded), or ``coalesce``
-(duplicate frontier fingerprints are absorbed into the queued
-survivor) — and a background :class:`~repro.restore.ingest.Registrar`
-thread applies the records in batches: clone + dedup + admission,
-per-shard grouped worker-pool flushes
-(``Repository.insert_batch`` / ``ShardWorkerPool.flush_shards``), the
-Rule 3/4 eviction sweep at the captured tick, and the persistence
-checkpoint. Inline mode runs the *same* capture/apply code
-synchronously, so decisions are bit-identical by construction — the
-property suite drives async vs inline vs the frozen seed in lock-step
-behind ``ReStore.flush()`` barriers. Queue pressure and drain latency
-land on the report as :class:`~repro.restore.stats.IngestStats`
-(``last_report.ingest``);
-``benchmarks/bench_ingest_load.py`` holds the p99 submit-latency
-evidence.
+Everything runs in one process, inline on the submit path: the manager
+registers each job's outputs as the job finishes, then runs the
+eviction sweep and the persistence checkpoint before ``submit``
+returns, as Section 6.2 describes.
 """
 
 from repro.restore.baseline import LinearScanRepository
@@ -148,7 +99,6 @@ from repro.restore.index import (
     operator_fingerprint,
     plan_fingerprint,
 )
-from repro.restore.ingest import IngestQueue, Registrar
 from repro.restore.manager import ReStore, ReStoreReport
 from repro.restore.matcher import find_containment, pairwise_plan_traversal
 from repro.restore.persistence import (
@@ -163,15 +113,12 @@ from repro.restore.ranking import (
     SavingsRanker,
     StructuralRanker,
 )
-from repro.restore.replication import ReplicatedWorkerPool
 from repro.restore.repository import Repository, RepositoryEntry
 from repro.restore.selector import (
     HeuristicRetentionPolicy,
     KeepEverythingPolicy,
 )
-from repro.restore.service import RepositoryService, ShardWorkerPool
 from repro.restore.sharding import ShardedRepository
-from repro.restore.stats import IngestStats
 from repro.restore.wal import RepositoryLog
 
 __all__ = [
@@ -181,8 +128,6 @@ __all__ = [
     "estimate_entry_savings",
     "find_containment",
     "HeuristicRetentionPolicy",
-    "IngestQueue",
-    "IngestStats",
     "KeepEverythingPolicy",
     "leaf_loads",
     "LinearScanRepository",
@@ -192,18 +137,14 @@ __all__ = [
     "operator_fingerprint",
     "pairwise_plan_traversal",
     "plan_fingerprint",
-    "Registrar",
-    "ReplicatedWorkerPool",
     "save_repository",
     "save_snapshot",
     "Repository",
     "RepositoryEntry",
     "RepositoryLog",
-    "RepositoryService",
     "ReStore",
     "ReStoreReport",
     "SavingsRanker",
     "ShardedRepository",
-    "ShardWorkerPool",
     "StructuralRanker",
 ]

@@ -88,10 +88,7 @@ def operator_fingerprint(op):
     shared subplans cost O(nodes), not O(paths). Stable across processes,
     so it round-trips through persistence.
 
-    Because the hash covers the frontier subtree only (never the Store),
-    an uncloned sub-plan operator and the cloned entry plan built from it
-    fingerprint identically — which is what lets the async ingest queue
-    coalesce duplicate registrations without cloning on the hot path.
+    The hash covers the frontier subtree only (never the Store).
     """
     memo = {}
 

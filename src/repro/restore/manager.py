@@ -24,13 +24,6 @@ from repro.physical.operators import POLoad, POStore
 from repro.physical.plan import PhysicalPlan
 from repro.restore.enumerator import enumerate_and_inject
 from repro.restore.heuristics import AggressiveHeuristic
-from repro.restore.ingest import (
-    AsyncIngest,
-    FrozenClock,
-    InlineIngest,
-    RegistrationRecord,
-    SubmitEndRecord,
-)
 from repro.restore.matcher import find_containment
 from repro.restore.ranking import (
     estimate_entry_savings,
@@ -63,7 +56,6 @@ class ReStoreReport:
         self.rejected_candidates = [] # paths rejected by the retention policy
         self.evicted_entries = []     # entry ids removed by the sweep
         self.checkpoint = None        # persistence checkpoint outcome, if any
-        self.ingest = None            # IngestStats when the manager is async
         self.match_counters = MatchCounters()  # why candidates were skipped
         #: per-rewrite estimated vs realized savings (estimator error)
         self.ranking = RankingLedger(ranker_name)
@@ -122,30 +114,10 @@ class ReStore(JobControl):
       (dirty-only: clean shards' snapshot sections are reused on disk).
       The checkpoint outcome, including which shards were compacted,
       lands on ``last_report.checkpoint``. None (the default) leaves
-      persistence to explicit ``save_repository`` calls;
-    * ``ingest`` — ``"inline"`` (the default: registrations, discards
-      and the eviction sweep apply on the submit thread, exactly the
-      seed's timing) or ``"async"`` (the submit path only enqueues;
-      a background :class:`~repro.restore.ingest.Registrar` drains in
-      batches off the hot path — call :meth:`flush` before reading the
-      repository deterministically). ``ingest_queue_size`` bounds the
-      queue, ``ingest_policy`` picks the backpressure behavior when it
-      fills (``"block"`` / ``"reject"`` / ``"coalesce"`` — see
-      :class:`~repro.restore.ingest.IngestQueue`), and
-      ``ingest_batch_size`` caps records per registrar batch. Async
-      reports carry :class:`~repro.restore.stats.IngestStats` as
-      ``last_report.ingest``.
+      persistence to explicit ``save_repository`` calls.
     """
 
     MATERIALIZED_PREFIX = "/restore/materialized"
-
-    #: Locking contract, enforced by `repro.tools.statlint`
-    #: (``lock-discipline``): the discard shield is read/written by the
-    #: registrar thread (apply hooks) and by the submit thread, always
-    #: under the ingest lock. The apply hooks themselves carry
-    #: ``# statlint: holds=_ingest.lock`` — the registrar/InlineIngest
-    #: acquire the lock before invoking them.
-    GUARDED_BY = {"_kept_paths": "_ingest.lock"}
 
     #: sentinel: "use the paper's default heuristic" (None disables sub-jobs)
     _DEFAULT = object()
@@ -156,8 +128,7 @@ class ReStore(JobControl):
                  retention=None, clock=None, enable_rewrite=True,
                  enable_registration=True, register_whole_jobs=True,
                  register_final_outputs=True, ranker=None, persistence=None,
-                 checkpoint_every=1, ingest="inline", ingest_queue_size=1024,
-                 ingest_policy="block", ingest_batch_size=32):
+                 checkpoint_every=1):
         super().__init__(dfs, cost_model, keep_temps=True)
         self.repository = repository if repository is not None else Repository()
         self.heuristic = AggressiveHeuristic() if heuristic is self._DEFAULT else heuristic
@@ -194,16 +165,6 @@ class ReStore(JobControl):
         self._pending_candidates = {}
         self._kept_paths = set()
         self._discard_paths = []
-        if ingest == "async":
-            self._ingest = AsyncIngest(self, capacity=ingest_queue_size,
-                                       policy=ingest_policy,
-                                       batch_size=ingest_batch_size)
-        elif ingest == "inline":
-            self._ingest = InlineIngest(self)
-        else:
-            raise ValueError(
-                f"unknown ingest mode {ingest!r}; expected 'inline' or 'async'")
-        self.ingest_mode = self._ingest.mode
 
     # Public API ------------------------------------------------------------
 
@@ -217,61 +178,43 @@ class ReStore(JobControl):
         registrations, evictions, and the matcher's skip accounting for
         this workflow; one logical-clock tick per submit drives reuse
         windows.
-
-        Under ``ingest="async"`` the registrations, queued discards,
-        eviction sweep and checkpoint are *enqueued* — this method
-        returns as soon as the jobs have executed, and the report's
-        registration/eviction lists fill in as the registrar drains.
-        Call :meth:`flush` for a read-after-drain barrier.
         """
         self.clock.tick()
-        self.last_report = ReStoreReport(workflow.name, self.ranker.name)
-        self.last_report.ingest = self._ingest.stats
+        report = self.last_report = ReStoreReport(workflow.name,
+                                                  self.ranker.name)
         self._discard_paths = []
         result = self.run(workflow)
-        checkpoint_due = False
+        for path in self._discard_paths:
+            if path not in self._kept_paths:
+                self.dfs.delete_if_exists(path)
+        self._discard_paths = []
+        evicted = self.retention.sweep(self.repository, self.dfs, self.clock)
+        report.evicted_entries.extend(entry.entry_id for entry in evicted)
+        for entry in evicted:
+            # An evicted entry's path must not keep shielding later
+            # discards of the same location (and a long-running manager
+            # must not accumulate paths forever).
+            self._kept_paths.discard(entry.output_path)
         if self.persistence is not None:
             self._submits_since_checkpoint += 1
             if self._submits_since_checkpoint >= self.checkpoint_every:
-                checkpoint_due = True
                 self._submits_since_checkpoint = 0
-        discards, self._discard_paths = self._discard_paths, []
-        self._ingest.submit_end(SubmitEndRecord(
-            self.last_report, self.clock.now(), discards, checkpoint_due))
+                report.checkpoint = self.persistence.checkpoint()
         return result
 
-    def flush(self):
-        """Drain the ingest queue: returns once every record enqueued
-        before this call has been applied, so repository reads are
-        deterministic. Re-raises any error the registrar hit. Inline
-        managers apply everything synchronously — a no-op there."""
-        self._ingest.flush()
-
     def close(self):
-        """Shut the manager down cleanly: drain and stop the async
-        registrar (pending registrations are applied, not dropped),
-        flush the attached :class:`~repro.restore.wal.RepositoryLog`'s
-        pending change records to their segments, then release the
-        repository's resources (probe thread pool or shard worker
-        processes).
+        """Flush the attached :class:`~repro.restore.wal.RepositoryLog`'s
+        pending change records to their segments.
 
         Without this, records buffered since the last checkpoint are
-        silently lost on shutdown and a threaded/process executor leaks.
-        Idempotent, and also reachable as a context manager::
+        lost on shutdown. Idempotent, and also reachable as a context
+        manager::
 
             with ReStore(dfs, cost_model, ...) as manager:
                 manager.submit(workflow)
         """
-        try:
-            self._ingest.close()
-        finally:
-            # A registrar error must not leak the log's pending records
-            # or the repository's worker processes.
-            if self.persistence is not None:
-                self.persistence.flush()
-            close = getattr(self.repository, "close", None)
-            if close is not None:
-                close()
+        if self.persistence is not None:
+            self.persistence.flush()
 
     def __enter__(self):
         return self
@@ -299,31 +242,30 @@ class ReStore(JobControl):
         return True
 
     def after_job(self, job, run_result, executed):
+        candidates = self._pending_candidates.pop(job.job_id, ())
         if not executed or not self.enable_registration:
             # The injected stores already executed and materialized
             # their files; nothing will ever register (and so own)
-            # them, so they must be queued for discard or they
-            # accumulate under /restore/materialized forever. One
-            # submission, through the facade: inline rides the
-            # per-submit discard list as before, async enqueues a
-            # single DiscardRecord — never both, or the paths would be
-            # deleted once per route (harmless today, a double-free the
-            # moment discard becomes stateful).
-            paths = [candidate.path for candidate in
-                     self._pending_candidates.pop(job.job_id, ())]
-            if paths:
-                self._ingest.submit_discards(paths)
+            # them, so they must be discarded or they accumulate under
+            # /restore/materialized forever.
+            self._discard_paths.extend(candidate.path
+                                       for candidate in candidates)
             return
-        for store in job.plan.stores():
-            if store.injected:
-                continue
-            if not self.register_whole_jobs:
-                continue
-            if not store.temporary and not self.register_final_outputs:
-                continue
-            self._register_store(job, store, run_result)
-        for candidate in self._pending_candidates.pop(job.job_id, []):
-            self._register_candidate(job, candidate, run_result)
+        if self.register_whole_jobs:
+            for store in job.plan.stores():
+                if store.injected:
+                    continue
+                if not store.temporary and not self.register_final_outputs:
+                    continue
+                self.apply_register(
+                    job.plan, store.inputs[0], store.path,
+                    self._entry_stats(store.path, run_result),
+                    owns_file=store.temporary, origin="whole-job")
+        for candidate in candidates:
+            self.apply_register(
+                job.plan, candidate.operator, candidate.path,
+                self._entry_stats(candidate.path, run_result),
+                owns_file=True, origin="sub-job")
 
     # Matching & rewriting -------------------------------------------------------
 
@@ -358,35 +300,30 @@ class ReStore(JobControl):
         # survive a restart); the frozen seed baseline has no channel and
         # gets the direct stamp.
         record_use = getattr(self.repository, "record_use", None)
-        # The ingest lock keeps the whole match pass atomic against the
-        # async registrar's batches: a probe never sees a half-applied
-        # batch, and use-stamps/worker-pool traffic stays serialized
-        # (uncontended re-entrant acquire in inline mode).
-        with self._ingest.lock:
-            progressed = True
-            while progressed:
-                progressed = False
-                for entry in self._match_candidates(job):
-                    counters.candidates_tried += 1
-                    if not self.dfs.exists(entry.output_path):
-                        counters.skipped_missing_output += 1
-                        continue
-                    match = find_containment(entry.plan, job.plan)
-                    if match is None:
-                        counters.skipped_no_containment += 1
-                        continue
-                    self._record_ranking_decision(job, entry)
-                    apply_rewrite(job, match, entry, self.dfs)
-                    if record_use is not None:
-                        record_use(entry, self.clock.now())
-                    else:
-                        entry.stats.record_use(self.clock.now())
-                    counters.matched += 1
-                    if record_hit is not None:
-                        record_hit(entry)
-                    self.last_report.rewrites.append((job.job_id, entry.entry_id))
-                    progressed = True
-                    break
+        progressed = True
+        while progressed:
+            progressed = False
+            for entry in self._match_candidates(job):
+                counters.candidates_tried += 1
+                if not self.dfs.exists(entry.output_path):
+                    counters.skipped_missing_output += 1
+                    continue
+                match = find_containment(entry.plan, job.plan)
+                if match is None:
+                    counters.skipped_no_containment += 1
+                    continue
+                self._record_ranking_decision(job, entry)
+                apply_rewrite(job, match, entry, self.dfs)
+                if record_use is not None:
+                    record_use(entry, self.clock.now())
+                else:
+                    entry.stats.record_use(self.clock.now())
+                counters.matched += 1
+                if record_hit is not None:
+                    record_hit(entry)
+                self.last_report.rewrites.append((job.job_id, entry.entry_id))
+                progressed = True
+                break
 
     def _record_ranking_decision(self, job, entry):
         """Ledger one applied rewrite's estimated vs realized savings.
@@ -452,29 +389,9 @@ class ReStore(JobControl):
     def _allocate_materialized_path(self):
         return f"{self._mat_prefix}/m{next(self._mat_counter)}"
 
-    def _register_store(self, job, store, run_result):
-        self._ingest.submit(self._capture_registration(
-            job, store.inputs[0], store.path, run_result,
-            owns_file=store.temporary, origin="whole-job"))
-
-    def _register_candidate(self, job, candidate, run_result):
-        self._ingest.submit(self._capture_registration(
-            job, candidate.operator, candidate.path, run_result,
-            owns_file=True, origin="sub-job"))
-
-    def _capture_registration(self, job, frontier_op, output_path, run_result,
-                              owns_file, origin):
-        """Snapshot a registration on the submit path (capture half).
-
-        Everything the old inline registration read at decision time is
-        read *now* — file size, clock tick, execution statistics — so
-        :meth:`apply_register` reaches the identical decision whether it
-        runs immediately (inline) or later on the registrar thread.
-        """
-        return RegistrationRecord(
-            job_plan=job.plan, frontier_op=frontier_op,
-            output_path=output_path, owns_file=owns_file, origin=origin,
-            report=self.last_report,
+    def _entry_stats(self, output_path, run_result):
+        """The execution statistics a registration records (Section 2.2)."""
+        return EntryStats(
             input_bytes=run_result.stats.map_input_bytes,
             output_bytes=(self.dfs.file_size(output_path)
                           if self.dfs.exists(output_path) else 0),
@@ -484,142 +401,47 @@ class ReStore(JobControl):
             created_tick=self.clock.now(),
         )
 
-    # Ingest sink (apply half) ---------------------------------------------------
-    #
-    # Both ingest modes run these — inline immediately on the submit
-    # thread, async on the registrar thread under the ingest lock.
+    def apply_register(self, job_plan, frontier_op, output_path, stats,
+                       owns_file, origin):
+        """Clone, dedup, admit-or-reject one registration.
 
-    def apply_register(self, record, batch):  # statlint: holds=_ingest.lock
-        """Clone, dedup, admit-or-reject one captured registration.
-
-        ``batch`` is the registrar's per-batch fingerprint map: a record
-        structurally equivalent to an entry admitted *earlier in the
-        same batch* short-circuits to the duplicate outcome without
-        cloning — identical to what ``find_equivalent`` would decide,
-        since that entry is the only equivalent one (had another existed
-        beforehand, the earlier record would not have been admitted).
+        The subtree of ``job_plan`` ending at ``frontier_op`` becomes the
+        entry plan ``Loads → … → Store(output_path)``. A plan equivalent
+        to a stored entry is not stored twice, and the retention policy
+        (Rules 1-2) decides admission. Files nothing will own are queued
+        for the end-of-submit discard.
         """
-        if batch is not None:
-            twin = batch.get(record.ensure_fingerprint())
-            if twin is not None:
-                self._finish_duplicate(record, twin)
-                return
-        clone, _ = record.job_plan.clone_subgraph(record.frontier_op)
+        clone, _ = job_plan.clone_subgraph(frontier_op)
         if isinstance(clone, POLoad):
             # trivial Load->Store plans are never useful
-            self._finish_trivial(record)
+            if origin == "sub-job":
+                self._discard_paths.append(output_path)
             return
-        entry_plan = PhysicalPlan([POStore(clone, record.output_path)])
+        entry_plan = PhysicalPlan([POStore(clone, output_path)])
         existing = self.repository.find_equivalent(entry_plan)
         if existing is not None:
-            self._finish_duplicate(record, existing)
+            if existing.output_path == output_path:
+                # A re-registration at the same content-addressed path:
+                # the "duplicate" file IS the entry's stored file, so
+                # shield it from any queued discard.
+                self._kept_paths.add(output_path)
+            if origin == "sub-job":
+                # A duplicate at a *different* path references nothing —
+                # the existing entry keeps its own file — so it must
+                # stay discardable: shielding it would leak one orphan
+                # materialized file (and one shield-set string) per
+                # re-enumerated sub-plan, forever.
+                self._discard_paths.append(output_path)
             return
-        stats = EntryStats(
-            input_bytes=record.input_bytes,
-            output_bytes=record.output_bytes,
-            producing_job_time=record.producing_job_time,
-            map_time=record.map_time,
-            reduce_time=record.reduce_time,
-            created_tick=record.created_tick,
-        )
         versions = {load.path: load.version for load in entry_plan.loads()}
-        entry = RepositoryEntry(entry_plan, record.output_path, stats,
-                                input_versions=versions,
-                                owns_file=record.owns_file,
-                                origin=record.origin)
+        entry = RepositoryEntry(entry_plan, output_path, stats,
+                                input_versions=versions, owns_file=owns_file,
+                                origin=origin)
         if self.retention.should_keep(entry, self.cost_model):
             self.repository.insert(entry)
-            self._kept_paths.add(record.output_path)
-            record.report.registered_entries.append(entry.entry_id)
-            if batch is not None:
-                batch[record.ensure_fingerprint()] = entry
-            for absorbed in record.absorbed:
-                self._finish_duplicate(absorbed, entry)
+            self._kept_paths.add(output_path)
+            self.last_report.registered_entries.append(entry.entry_id)
         else:
-            self._finish_rejected(record)
-
-    def _finish_duplicate(self, record, existing):  # statlint: holds=_ingest.lock
-        if existing.output_path == record.output_path:
-            # A re-registration at the same content-addressed path:
-            # the "duplicate" file IS the entry's stored file, so
-            # shield it from any queued discard.
-            self._kept_paths.add(record.output_path)
-        if record.origin == "sub-job":
-            # A duplicate at a *different* path references nothing — the
-            # existing entry keeps its own file — so it must stay
-            # discardable: shielding it would leak one orphan
-            # materialized file (and one shield-set string) per
-            # re-enumerated sub-plan, forever.
-            self._ingest.discard_path(record.output_path)
-        for absorbed in record.absorbed:
-            self._finish_duplicate(absorbed, existing)
-
-    def _finish_trivial(self, record):
-        if record.origin == "sub-job":
-            self._ingest.discard_path(record.output_path)
-        for absorbed in record.absorbed:
-            self._finish_trivial(absorbed)
-
-    def _finish_rejected(self, record):
-        record.report.rejected_candidates.append(record.output_path)
-        if record.owns_file:
-            self._ingest.discard_path(record.output_path)
-        for absorbed in record.absorbed:
-            self._finish_rejected(absorbed)
-
-    def registration_rejected(self, record):
-        """A full ``reject``-policy queue refused ``record`` (submit
-        thread): account for it and make sure its file cannot leak.
-
-        Taken under the ingest lock: the registrar appends to the same
-        report's ``rejected_candidates`` (``_finish_rejected``) while it
-        drains this submit's earlier records, and two unsynchronized
-        ``list.append`` races can lose an element."""
-        with self._ingest.lock:
-            record.report.rejected_candidates.append(record.output_path)
-            if record.owns_file:
-                self._discard_paths.append(record.output_path)
-
-    def apply_discard(self, record):
-        for path in record.paths:
-            self.discard_path_now(path)
-
-    def apply_submit_end(self, record):  # statlint: holds=_ingest.lock
-        """Queued discards, the Rule 3/4 sweep at the captured tick,
-        and (when due) the persistence checkpoint — the seed's
-        end-of-submit tail, shared by both ingest modes."""
-        for path in record.discard_paths:
-            if path not in self._kept_paths:
-                self.dfs.delete_if_exists(path)
-        evicted = self.retention.sweep(self.repository, self.dfs,
-                                       FrozenClock(record.tick))
-        record.report.evicted_entries.extend(
-            entry.entry_id for entry in evicted)
-        for entry in evicted:
-            # An evicted entry's path must not keep shielding later
-            # discards of the same location (and a long-running manager
-            # must not accumulate paths forever).
-            self._kept_paths.discard(entry.output_path)
-        if record.checkpoint_due and self.persistence is not None:
-            record.report.checkpoint = self.persistence.checkpoint()
-
-    def queue_discard_path(self, *paths):
-        """Inline discard route: ride this submit's discard list, exactly
-        the seed's end-of-submit timing."""
-        self._discard_paths.extend(paths)
-
-    def discard_path_now(self, path):  # statlint: holds=_ingest.lock
-        """Async discard route (registrar thread): this path's submit-end
-        record may already be applied, so delete immediately — under the
-        same shield the queued route honors."""
-        if path not in self._kept_paths:
-            self.dfs.delete_if_exists(path)
-
-    def after_batch(self):
-        """Register-batch epilogue (registrar thread, under the ingest
-        lock): ship the worker pool's buffered per-shard mutations as one
-        grouped ``apply`` per touched shard, instead of leaving them to
-        serialize through some later probe."""
-        pool = getattr(self.repository, "worker_pool", None)
-        if pool is not None:
-            pool.flush_shards()
+            self.last_report.rejected_candidates.append(output_path)
+            if owns_file:
+                self._discard_paths.append(output_path)

@@ -201,16 +201,7 @@ def _operator_from_record(record, inputs):
 
 def entry_to_json(entry):
     """One entry as a JSON-able dict — the ``entry`` payload of section
-    records. Every field except three is fixed at insert time, which is
-    what lets a shard worker serialize its *own* replica under
-    worker-owned compaction and still emit exactly the bytes the
-    front-end would: the mutable pair (``use_count``,
-    ``last_used_tick``) and ``sequence`` (which :func:`entry_from_json`
-    deliberately does not restore — it is minted per process) are
-    patched in from compact-time coordinator state riding the request
-    (see :meth:`~repro.restore.service.ShardWorkerState.write_section`),
-    so replica staleness in those fields cannot reach the durable
-    bytes."""
+    records."""
     stats = entry.stats
     return {
         "plan": plan_to_json(entry.plan),

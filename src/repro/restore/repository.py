@@ -187,13 +187,6 @@ class Repository:
                 f"an unsharded repository has no shard {shard_id!r}")
         return tuple(self._entries)
 
-    def close(self):
-        """Release any resources the repository holds. The plain
-        repository holds none; the sharded subclass shuts down its probe
-        executor (thread pool or worker processes) here — having the
-        method on the base class lets :meth:`ReStore.close` treat every
-        repository flavor uniformly."""
-
     def __len__(self):
         return len(self._entries)
 
@@ -231,21 +224,6 @@ class Repository:
         if ranker is None or ranker.is_structural:
             return candidates
         return tuple(ranker.order(candidates, self))
-
-    def match_candidates_batch(self, plans, ranker=None):
-        """Candidate tuples for many plans, positionally aligned with
-        ``plans``. Here simply the per-plan calls; the process-backed
-        sharded repository overrides this to ship the whole batch to
-        each consulted worker in one message."""
-        return [self.match_candidates(plan, ranker=ranker)
-                for plan in plans]
-
-    @property
-    def worker_pool(self):
-        """The worker-process pool routing this repository's probes —
-        None unless this is a :class:`ShardedRepository` built with
-        ``executor="processes"``."""
-        return None
 
     def _filtered_candidates(self, plan):
         """The load-index filter half of :meth:`match_candidates`, in
@@ -329,30 +307,6 @@ class Repository:
         self._post_insert(entry)
         self._notify("insert", entry)
         return entry
-
-    def insert_batch(self, entries):
-        """Insert ``entries`` in order, then flush their shard groups.
-
-        Semantically identical to calling :meth:`insert` sequentially —
-        scan order, subsumption edges and change events are exactly the
-        per-entry ones — but the inserted entries are grouped by owning
-        shard and handed to :meth:`_flush_inserted_groups` once, so a
-        worker-pool-backed repository ships one grouped mutation message
-        per touched shard instead of serializing through a later probe.
-        Returns the entries, positionally aligned with ``entries``.
-        """
-        inserted = [self.insert(entry) for entry in entries]
-        groups = {}
-        for entry in inserted:
-            groups.setdefault(self.shard_id_of(entry), []).append(entry)
-        if groups:
-            self._flush_inserted_groups(groups)
-        return inserted
-
-    def _flush_inserted_groups(self, groups):
-        """Subclass hook: ``{shard_id: [entries]}`` just inserted by one
-        :meth:`insert_batch` call. The base repository has no shards and
-        no buffers — nothing to flush."""
 
     def _post_insert(self, entry):
         """Subclass hook, called after ``entry`` is fully indexed but

@@ -4,8 +4,8 @@ The indexed :class:`~repro.restore.repository.Repository` (PR 1) made
 each lookup cheap, but the repository is still one object serving every
 probe serially. This module partitions the entry set across N **shards**
 so that a match probe only does work proportional to the shards that
-could possibly answer it, and so independent shard probes can run on a
-pluggable executor (serially by default, or on a thread pool).
+could possibly answer it. Shards are probed serially, one after the
+other.
 
 Sharding layout
 ---------------
@@ -54,83 +54,6 @@ from repro.restore.stats import ShardStats
 
 #: shard id of the catch-all partition in reports and persistence manifests
 CATCHALL_SHARD = -1
-
-
-class SerialExecutor:
-    """Run shard probes inline, one after the other (the default).
-
-    Serial probing already benefits from sharding: each probe only
-    touches the shards owning the job's load keys, so the filtered
-    entry count drops from n to ~k·n/N.
-    """
-
-    name = "serial"
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-    def close(self):
-        pass
-
-
-class ThreadPoolProbeExecutor:
-    """Run shard probes on a shared ``concurrent.futures`` thread pool.
-
-    The pool is created lazily on first use and reused across probes;
-    :meth:`close` shuts it down. Useful when probes overlap DFS or other
-    I/O, and the stepping stone to a multi-process shard service (each
-    shard is already an isolated object with its own index).
-    """
-
-    name = "threads"
-
-    def __init__(self, max_workers=None):
-        self._max_workers = max_workers
-        self._pool = None
-
-    def map(self, fn, items):
-        if len(items) <= 1:  # nothing to overlap; skip pool dispatch
-            return [fn(item) for item in items]
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(max_workers=self._max_workers)
-        return list(self._pool.map(fn, items))
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-def _resolve_executor(executor, max_workers, replicas=1,
-                      response_timeout=None):
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
-    if replicas > 1 and executor != "processes":
-        raise ValueError(
-            f"replicas={replicas} needs executor='processes' (replicas "
-            f"are worker processes), got executor={executor!r}")
-    if executor == "serial":
-        return SerialExecutor()
-    if executor == "threads":
-        return ThreadPoolProbeExecutor(max_workers)
-    if executor == "processes":
-        # Imported lazily: the service module imports persistence (for
-        # the entry wire format), which imports this module's shard
-        # constants — resolving at call time breaks the cycle.
-        if replicas > 1:
-            from repro.restore.replication import ReplicatedWorkerPool
-            return ReplicatedWorkerPool(max_workers, replicas=replicas,
-                                        response_timeout=response_timeout)
-        from repro.restore.service import ShardWorkerPool
-        return ShardWorkerPool(max_workers,
-                               response_timeout=response_timeout)
-    if hasattr(executor, "map") or getattr(executor, "routes_probes", False):
-        return executor
-    raise ValueError(
-        f"executor must be 'serial', 'threads', 'processes', or an "
-        f"object with a .map(fn, items) method, got {executor!r}"
-    )
 
 
 def shard_index_for_key(load_key, num_shards):
@@ -186,11 +109,7 @@ class RepositoryShard:
         repository's full-scan filter, deliberately so: a shard is
         modeled as an independent service scanning *its own slice*,
         which is the unit of work that sharding divides (probe cost
-        n → n/N per shard, the scaling the ablation benchmark measures)
-        and that a multi-process shard service would distribute. An
-        id→entry lookup over ``candidate_ids`` would be O(candidates)
-        here, but only by leaning on the in-process dict this class
-        exists to decouple from.
+        n → n/N per shard, the scaling the ablation benchmark measures).
         """
         self.stats.probes += 1
         candidate_ids = self._load_index.candidate_ids(job_loads)
@@ -207,20 +126,7 @@ class ShardedRepository(Repository):
 
     Parameters:
 
-    * ``num_shards`` — number of hash partitions (≥ 1);
-    * ``executor`` — how shard probes run: ``"serial"`` (default),
-      ``"threads"`` (a shared ``concurrent.futures`` pool),
-      ``"processes"`` (worker processes behind the routing front-end),
-      or any object with a ``.map(fn, items)`` method;
-    * ``max_workers`` — thread-pool size when ``executor="threads"``;
-    * ``replicas`` — with ``executor="processes"``, serve each partition
-      from ``k ≥ 2`` warm worker replicas (crash failover without
-      durable replay, probes fanned out round-robin — see
-      :mod:`repro.restore.replication`); the default 1 keeps the
-      single-worker pool;
-    * ``response_timeout`` — seconds one worker response wait may stay
-      silent before the worker is declared crashed (defaults to the
-      service module's 60 s ceiling).
+    * ``num_shards`` — number of hash partitions (≥ 1).
 
     All repository semantics are **identical** to the unsharded
     :class:`Repository`: same scan order (the paper Section 3 priority
@@ -231,26 +137,14 @@ class ShardedRepository(Repository):
     touches only the shards owning the job's leaf-load keys.
     """
 
-    def __init__(self, num_shards=4, executor="serial", max_workers=None,
-                 replicas=1, response_timeout=None):
+    def __init__(self, num_shards=4):
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         super().__init__()
         self.num_shards = num_shards
-        self.replicas = replicas
         self._shards = [RepositoryShard(index) for index in range(num_shards)]
         self._catchall = RepositoryShard(CATCHALL_SHARD)
         self._shard_of = {}           # entry_id -> owning RepositoryShard
-        self._executor = _resolve_executor(executor, max_workers, replicas,
-                                           response_timeout)
-        # A routing executor (executor="processes") owns worker-process
-        # replicas of the partitions and answers probes by shard id; the
-        # map-style executors run closures over the in-process shards.
-        self._pool = (self._executor
-                      if getattr(self._executor, "routes_probes", False)
-                      else None)
-        if self._pool is not None:
-            self._pool.bind(self)
         self._logical_probes = 0      # match_candidates calls (fan-outs)
         #: manifest header of the persisted file this repository was
         #: loaded from (set by ``load_repository``), or None.
@@ -316,33 +210,12 @@ class ShardedRepository(Repository):
                               for shard in self.partitions()),
         }
 
-    def shard_stats(self, shard_id):
-        """The :class:`~repro.restore.stats.ShardStats` of partition
-        ``shard_id`` — the hook a replicated worker pool credits its
-        ``failovers``/``replica_fanout`` counters through, so promotion
-        and fan-out activity shows up in :meth:`shard_report`."""
-        return self._partition_by_id(shard_id).stats
-
     def record_match_hit(self, entry):
         """Credit a successful rewrite to the shard owning ``entry``
         (called by the manager after the matcher picks a candidate)."""
         shard = self._shard_of.get(entry.entry_id)
         if shard is not None:
             shard.stats.match_hits += 1
-
-    def close(self):
-        """Release the probe executor (no-op for the serial executor).
-
-        An attached :class:`~repro.restore.wal.RepositoryLog` is flushed
-        first: under worker-owned durability its pending records route
-        through the very workers this call is about to tear down, so
-        flushing after the pool closed would silently fall back to the
-        front-end path — correct but unrouted. Flushing here keeps
-        "close() loses nothing" true on the worker-owned path too."""
-        log = getattr(self, "persistence_log", None)
-        if log is not None and getattr(log, "repository", None) is self:
-            log.flush()
-        self._executor.close()
 
     def shard_id_of(self, entry):
         """The id of the shard owning ``entry`` (catch-all is ``-1``),
@@ -381,33 +254,11 @@ class ShardedRepository(Repository):
         shard = self.owning_shard(entry_loads)
         shard.add(entry, entry_loads)
         self._shard_of[entry.entry_id] = shard
-        if self._pool is not None:
-            self._pool.record_insert(shard.shard_id, entry)
 
     def _post_remove(self, entry):
         shard = self._shard_of.pop(entry.entry_id, None)
         if shard is not None:
             shard.discard(entry)
-            if self._pool is not None:
-                self._pool.record_remove(shard.shard_id, entry)
-
-    def _flush_inserted_groups(self, groups):
-        # One grouped worker message per shard an insert_batch touched
-        # (the entries' mutations are already buffered per shard by
-        # _post_insert; this ships them eagerly instead of on the next
-        # probe of that shard).
-        if self._pool is not None:
-            self._pool.flush_shards(sorted(groups))
-
-    def record_use(self, entry, tick):
-        super().record_use(entry, tick)
-        # Worker replicas mirror the partition state, stats included:
-        # route the freshly stamped values into the owning worker's
-        # mutation stream, exactly as inserts and removals are.
-        if self._pool is not None:
-            shard = self._shard_of.get(entry.entry_id)
-            if shard is not None:
-                self._pool.record_use(shard.shard_id, entry)
 
     # Matching ---------------------------------------------------------------
 
@@ -432,16 +283,10 @@ class ShardedRepository(Repository):
         shard_ids = self._consulted_shard_ids(job_loads)
         if not shard_ids:
             return ()
-        if self._pool is not None:
-            return self._merge_pool_answer(
-                self._pool.match_probe(shard_ids, job_loads))
-        partitions = [self._partition_by_id(shard_id)
-                      for shard_id in shard_ids]
-        buckets = self._executor.map(lambda shard: shard.probe(job_loads),
-                                     partitions)
         rank = self.scan_rank()
         return tuple(sorted(
-            (entry for bucket in buckets for entry in bucket),
+            (entry for shard_id in shard_ids
+             for entry in self._partition_by_id(shard_id).probe(job_loads)),
             key=lambda entry: rank[entry.entry_id]))
 
     def _consulted_shard_ids(self, job_loads):
@@ -457,71 +302,11 @@ class ShardedRepository(Repository):
         return (self._catchall if shard_id == CATCHALL_SHARD
                 else self._shards[shard_id])
 
-    def _merge_pool_answer(self, answers):
-        """Resolve one pool probe's ``{shard_id: [entry ids]}`` answer to
-        entries in global scan order, crediting each consulted
-        partition's statistics exactly as its in-process ``probe`` would
-        have (so shard reports are executor-independent)."""
-        entries = []
-        for shard_id, keys in answers.items():
-            shard = self._partition_by_id(shard_id)
-            shard.stats.probes += 1
-            shard.stats.candidates_returned += len(keys)
-            entries.extend(self._by_id[key] for key in keys)
-        rank = self.scan_rank()
-        return tuple(sorted(entries,
-                            key=lambda entry: rank[entry.entry_id]))
-
-    def match_candidates_batch(self, plans, ranker=None):
-        """Candidate tuples for many plans in one probe round-trip.
-
-        With a worker pool this ships **one** message per consulted
-        worker for the whole batch (the IPC-amortized service path: the
-        workers filter all their probes concurrently, the front-end
-        merges); otherwise it degrades to per-plan
-        :meth:`match_candidates`. Results are positionally aligned with
-        ``plans`` and identical to the per-plan calls, decision for
-        decision.
-        """
-        if self._pool is None:
-            return [self.match_candidates(plan, ranker=ranker)
-                    for plan in plans]
-        probes = []
-        direct = {}   # plan index -> candidates resolved without the pool
-        for index, plan in enumerate(plans):
-            self._logical_probes += 1
-            job_loads = leaf_loads(plan)
-            if job_loads is None:
-                direct[index] = self.scan()
-                continue
-            shard_ids = self._consulted_shard_ids(job_loads)
-            if not shard_ids:
-                direct[index] = ()
-                continue
-            probes.append((index, shard_ids, job_loads))
-        answers = self._pool.match_probe_batch(probes) if probes else {}
-        results = []
-        for index in range(len(plans)):
-            candidates = (direct[index] if index in direct
-                          else self._merge_pool_answer(
-                              answers.get(index, {})))
-            if ranker is not None and not ranker.is_structural:
-                candidates = tuple(ranker.order(candidates, self))
-            results.append(candidates)
-        return results
-
-    @property
-    def worker_pool(self):
-        """The :class:`~repro.restore.service.ShardWorkerPool` routing
-        this repository's probes, or None for the map-style executors."""
-        return self._pool
-
     def describe(self):
         lines = [
             f"ShardedRepository: {len(self)} entr(ies) across "
             f"{self.num_shards} shard(s) "
-            f"(+{len(self._catchall)} catch-all), "
-            f"executor={getattr(self._executor, 'name', 'custom')}"
+            f"(+{len(self._catchall)} catch-all)"
         ]
         for shard in self.partitions():
             lines.append(f"- {shard.stats.describe()}")

@@ -5,7 +5,7 @@ MapReduce system collected while producing it — input/output sizes, the
 execution time of the producing job — plus reuse-tracking counters used by
 the ordering rules and the eviction rules.
 
-Two operational counter families ride along:
+Three operational counter families ride along:
 
 * :class:`MatchCounters` — per-workflow accounting of *why* repository
   candidates offered to the matcher were not used (missing output file,
@@ -15,11 +15,7 @@ Two operational counter families ride along:
   maintained by :class:`~repro.restore.sharding.ShardedRepository`;
 * :class:`RankingLedger` — per-rewrite estimated vs realized savings
   (the :mod:`~repro.restore.ranking` cost model's error, observable on
-  every :class:`~repro.restore.manager.ReStoreReport`);
-* :class:`IngestStats` — enqueue/coalesce/reject/batch counters and a
-  drain-latency reservoir maintained by the async ingest front-end
-  (:mod:`~repro.restore.ingest`), attached to reports when
-  ``ReStore(ingest="async")``.
+  every :class:`~repro.restore.manager.ReStoreReport`).
 """
 
 
@@ -220,95 +216,6 @@ class RankingLedger:
         return f"RankingLedger({self.describe()})"
 
 
-class IngestStats:
-    """Counters for the async ingest front-end (one per manager).
-
-    The submit path increments ``enqueued``/``coalesced``/``rejected``
-    under the queue lock; the registrar thread owns ``applied``,
-    ``batches`` and the drain-latency reservoir. No field is written by
-    both sides, so the partition (plus the queue lock on the submit-side
-    fields) keeps the counters exact without a dedicated stats lock.
-
-    Drain latency — enqueue to apply, per registration record — is kept
-    in a bounded reservoir: every ``_stride``-th sample is stored, and
-    when the buffer reaches ``RESERVOIR_CAP`` it is decimated (every
-    other sample kept, stride doubled). Deterministic, O(1) amortized,
-    and the p50/p99 stay representative of the whole run rather than a
-    recent window.
-    """
-
-    RESERVOIR_CAP = 8192
-
-    __slots__ = ("enqueued", "coalesced", "rejected", "applied", "batches",
-                 "max_queue_depth", "drained", "_stride", "_latencies")
-
-    def __init__(self):
-        self.enqueued = 0
-        self.coalesced = 0
-        self.rejected = 0
-        self.applied = 0
-        self.batches = 0
-        self.max_queue_depth = 0
-        self.drained = 0
-        self._stride = 1
-        self._latencies = []
-
-    def record_depth(self, depth):
-        if depth > self.max_queue_depth:
-            self.max_queue_depth = depth
-
-    def record_drain(self, latency):
-        """Record one record's enqueue-to-apply latency (seconds)."""
-        self.drained += 1
-        if self.drained % self._stride == 0:
-            self._latencies.append(latency)
-            if len(self._latencies) >= self.RESERVOIR_CAP:
-                self._latencies = self._latencies[::2]
-                self._stride *= 2
-
-    def _percentile(self, fraction):
-        if not self._latencies:
-            return None
-        ordered = sorted(self._latencies)
-        rank = max(0, min(len(ordered) - 1,
-                          int(round(fraction * (len(ordered) - 1)))))
-        return ordered[rank]
-
-    @property
-    def drain_p50(self):
-        return self._percentile(0.50)
-
-    @property
-    def drain_p99(self):
-        return self._percentile(0.99)
-
-    def as_dict(self):
-        return {
-            "enqueued": self.enqueued,
-            "coalesced": self.coalesced,
-            "rejected": self.rejected,
-            "applied": self.applied,
-            "batches": self.batches,
-            "max_queue_depth": self.max_queue_depth,
-            "drain_p50": self.drain_p50,
-            "drain_p99": self.drain_p99,
-        }
-
-    def describe(self):
-        p50, p99 = self.drain_p50, self.drain_p99
-        latency = ("no drains" if p50 is None else
-                   f"drain p50 {p50 * 1e3:.2f}ms / p99 {p99 * 1e3:.2f}ms")
-        return (
-            f"{self.enqueued} enqueued, {self.coalesced} coalesced, "
-            f"{self.rejected} rejected, {self.applied} applied in "
-            f"{self.batches} batch(es), depth<= {self.max_queue_depth}, "
-            f"{latency}"
-        )
-
-    def __repr__(self):
-        return f"IngestStats({self.describe()})"
-
-
 class ShardStats:
     """Probe/candidate/hit counters for one repository shard.
 
@@ -317,17 +224,10 @@ class ShardStats:
     counts ``match_candidates`` fan-outs that consulted this shard,
     ``candidates_returned`` the entries it contributed to merged candidate
     lists, and ``match_hits`` the rewrites that used one of its entries.
-
-    Two replication counters ride along (zero except under a
-    :class:`~repro.restore.replication.ReplicatedWorkerPool`):
-    ``failovers`` counts warm promotions — a dead worker replica whose
-    surviving peer took over in place — and ``replica_fanout`` the
-    worker consultations served by a non-primary replica (the
-    round-robin read scaling).
     """
 
     __slots__ = ("shard_id", "occupancy", "probes", "candidates_returned",
-                 "match_hits", "failovers", "replica_fanout")
+                 "match_hits")
 
     def __init__(self, shard_id):
         self.shard_id = shard_id
@@ -335,8 +235,6 @@ class ShardStats:
         self.probes = 0
         self.candidates_returned = 0
         self.match_hits = 0
-        self.failovers = 0
-        self.replica_fanout = 0
 
     def as_dict(self):
         return {
@@ -345,20 +243,14 @@ class ShardStats:
             "probes": self.probes,
             "candidates_returned": self.candidates_returned,
             "match_hits": self.match_hits,
-            "failovers": self.failovers,
-            "replica_fanout": self.replica_fanout,
         }
 
     def describe(self):
-        text = (
+        return (
             f"shard {self.shard_id}: {self.occupancy} entr(ies), "
             f"{self.probes} probe(s), {self.candidates_returned} candidate(s), "
             f"{self.match_hits} hit(s)"
         )
-        if self.failovers or self.replica_fanout:
-            text += (f", {self.failovers} failover(s), "
-                     f"{self.replica_fanout} replica-fanned")
-        return text
 
     def __repr__(self):
         return f"ShardStats({self.describe()})"

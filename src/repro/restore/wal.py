@@ -54,25 +54,6 @@ sections and segments (v1-v3), and moves a v4 manifest's embedded scan
 order into the order log — losslessly either way (scan order,
 statistics, and match decisions are bit-identical — the property suite
 proves it).
-
-**Worker-owned durable state.** When the attached repository is backed
-by shard worker processes, :meth:`RepositoryLog.attach` negotiates
-worker ownership of the per-partition files (``worker_durable=None``
-auto-enables it; ``False`` forces the classic front-end path; ``True``
-requires a process pool): each worker then appends its own segment —
-pending records ride the mutation flush as one combined worker message,
-acked before the pending buffer clears — and rewrites its own section
-on a ``compact_section`` request, serializing its replica concurrently
-with the other dirty shards. This class shrinks to the **manifest
-coordinator**: it still owns sequence numbers, stable keys, the scan-
-order record, the single manifest swap, the segment truncations, and
-the generation GC — the PERSISTENCE §6 crash ordering is unchanged on
-disk, every worker write is collected (acked) before the swap, and any
-declined or crashed worker write falls back to the identical front-end
-write. An owner that dies with an append in flight leaves *uncertain*
-durability; :meth:`~RepositoryLog.flush` reconciles the pending buffer
-against the segment's actual contents (watermark dedup) before
-retrying on a promoted replica, so failover never double-appends.
 """
 
 import json
@@ -93,7 +74,6 @@ from repro.restore.persistence import (
     segment_file_path,
     shard_label,
 )
-from repro.restore.service import WorkerCrashed
 
 #: rebase threshold: once this many order records accumulate in the
 #: current order log, the next compaction rewrites it as a single full
@@ -132,24 +112,18 @@ class RepositoryLog:
 
     #: Locking contract, enforced by `repro.tools.statlint`
     #: (``lock-discipline``): every piece of log-side checkpoint state
-    #: is only touched inside ``with self._mutex:`` — the change-event
-    #: listener fires on whichever thread mutates the repository (the
-    #: registrar under async ingest) while flush/compact/snapshot run
-    #: elsewhere. ``*_locked`` methods assert "caller holds the mutex".
+    #: is only touched inside ``with self._mutex:``, so event intake and
+    #: flush/compact stay atomic with respect to each other.
+    #: ``*_locked`` methods assert "caller holds the mutex".
     GUARDED_BY = {"_seq": "_mutex", "_next_key": "_mutex",
                   "_keys": "_mutex", "_pending": "_mutex",
                   "_segment_records": "_mutex", "_sections": "_mutex",
                   "_order_log": "_mutex",
                   "_last_recorded_order": "_mutex",
-                  "_order_records": "_mutex", "_generation": "_mutex",
-                  "snapshot_reads": "_mutex",
-                  "_worker_durable": "_mutex",
-                  "worker_flushes": "_mutex",
-                  "worker_sections": "_mutex",
-                  "reconciled_records": "_mutex"}
+                  "_order_records": "_mutex", "_generation": "_mutex"}
 
     def __init__(self, dfs, path=DEFAULT_REPOSITORY_PATH, log_path=None,
-                 compact_ratio=1.0, ranker=None, worker_durable=None):
+                 compact_ratio=1.0, ranker=None):
         if compact_ratio <= 0:
             raise ValueError(
                 f"compact_ratio must be positive, got {compact_ratio}")
@@ -159,15 +133,12 @@ class RepositoryLog:
         self.compact_ratio = compact_ratio
         self.ranker = ranker
         self.repository = None
-        # Event intake, durable reads and checkpointing share one
-        # re-entrant mutex: under async ingest the registrar thread
-        # mutates the repository (each mutation lands here via the
-        # change-event channel) while the submit thread may flush or a
-        # worker recovery may read a partition snapshot. Delivery order
-        # through the channel IS the durable order — the lock only makes
-        # each record's intake (seq assignment + buffer append) and each
-        # flush/compact/snapshot atomic, it never reorders. Re-entrant
-        # because checkpoint() nests compact()/flush().
+        # Event intake and checkpointing share one re-entrant mutex.
+        # Delivery order through the change-event channel IS the durable
+        # order — the lock only makes each record's intake (seq
+        # assignment + buffer append) and each flush/compact atomic, it
+        # never reorders. Re-entrant because checkpoint() nests
+        # compact()/flush().
         self._mutex = threading.RLock()
         self._seq = 0                # last sequence number assigned
         self._next_key = 0           # stable-key allocator
@@ -188,25 +159,6 @@ class RepositoryLog:
         # place — a crash before the manifest swap would then brick the
         # restart. attach() seeds it above every generation on disk.
         self._generation = 0
-        #: how many partition_snapshot() replays this log has served —
-        #: the durable-read witness: warm replica failover must leave it
-        #: untouched, only cold worker recovery (and replica backfill)
-        #: may move it
-        self.snapshot_reads = 0
-        #: requested worker-ownership mode: None auto-enables when the
-        #: attached repository has a durable-capable worker pool, True
-        #: requires one (attach raises otherwise), False keeps every
-        #: durable write front-end-side
-        self.worker_durable = worker_durable
-        self._worker_durable = False   # negotiated at attach time
-        #: pending-record flushes appended by their owning worker
-        self.worker_flushes = 0
-        #: section rewrites performed by their owning worker
-        self.worker_sections = 0
-        #: pending records found already durable while reconciling a
-        #: segment after an uncertain worker append (the watermark-dedup
-        #: witness: each one is a double-append that did not happen)
-        self.reconciled_records = 0
 
     # Lifecycle --------------------------------------------------------------
 
@@ -238,16 +190,6 @@ class RepositoryLog:
                 f"{type(repository).__name__} has no change-event "
                 f"channel (add_listener); the frozen seed baseline "
                 f"cannot drive a RepositoryLog")
-        if self.worker_durable and not hasattr(
-                getattr(repository, "worker_pool", None),
-                "enable_worker_durability"):
-            # Also before any state mutates: a log built with
-            # worker_durable=True must not silently degrade to
-            # front-end checkpointing.
-            raise RepositoryError(
-                "worker_durable=True needs a process-backed repository "
-                "(ShardedRepository with executor='processes'); this "
-                "one has no durable-capable worker pool")
         if getattr(repository, "persistence_log", None) is not None:
             # Two logs on one repository would buffer every mutation
             # twice (one of them usually forever) and, at shared paths,
@@ -285,10 +227,9 @@ class RepositoryLog:
                     f"stale snapshot to really start fresh")
         self.repository = repository
         # The whole rebind holds the mutex: add_listener() below makes
-        # the change-event channel live, and under async ingest events
-        # can arrive from the registrar thread the moment it does.
+        # the change-event channel live.
         with self._mutex:
-            self._bind_locked(repository, probe)  # statlint: disable=lock-ordering -- name-aliasing false positive: the reported mutex->ingest-lock edge runs _compact_locked -> compact_sections -> receive -> _WorkerHandle.kill -> close, where close is the worker's multiprocessing-queue close, not ingest's Registrar.close; no code acquires the ingest lock under this mutex (the real order is ingest lock -> mutex, via the registrar's apply batch)
+            self._bind_locked(repository, probe)
         return self
 
     def _bind_locked(self, repository, probe):
@@ -304,18 +245,6 @@ class RepositoryLog:
         self._order_log = None
         self._last_recorded_order = None
         self._order_records = 0
-        # Negotiate worker ownership of the per-partition durable files
-        # before any checkpoint below (the healing compaction included):
-        # with a durable-capable worker pool and worker_durable not
-        # forced off, workers spawned from here on own their segment
-        # appends and section rewrites; this log coordinates (manifest
-        # swap, order log, truncations, GC). On-disk format unchanged.
-        pool = getattr(repository, "worker_pool", None)
-        self._worker_durable = (
-            self.worker_durable is not False
-            and hasattr(pool, "enable_worker_durability"))
-        if self._worker_durable:
-            pool.enable_worker_durability(self.dfs)
         report = getattr(repository, "loader_report", None)
         resumable = (
             report is not None
@@ -558,79 +487,6 @@ class RepositoryLog:
                     for label, count in sorted(self._segment_records.items())
                     if count}
 
-    def stable_keys(self):
-        """``entry_id -> stable log key`` for every live keyed entry (a
-        copy). The service layer inverts this to translate a replayed
-        partition's durable keys back to the front-end's entry ids."""
-        with self._mutex:
-            return dict(self._keys)
-
-    def partition_snapshot(self, shard_id):
-        """One partition's durable-plus-pending state: ``{stable key:
-        entry json}`` after replaying its section entries, its segment
-        records, and this log's still-buffered pending records for the
-        label (stale records at or below the section's ``base_seq``
-        skipped, unparseable lines — a torn tail — dropped).
-
-        Reads only that partition's files — the point of the per-shard
-        section/segment split: a crashed shard *worker* is re-seeded
-        from here without touching any other partition
-        (:class:`~repro.restore.service.ShardWorkerPool` recovery).
-
-        Holds the log mutex for the whole read — it *is* the compaction
-        barrier. A snapshot taken without it could observe the window
-        between the manifest swap and the segment truncation (a fresh
-        section plus the stale records it subsumes, i.e. a double
-        replay), or a section file mid-GC. The concurrent
-        snapshot-during-compact test in ``tests/test_restore_wal.py``
-        hammers exactly this interleaving.
-        """
-        self._require_attached("partition_snapshot")
-        with self._mutex:
-            return self._partition_snapshot_locked(shard_id)
-
-    def _partition_snapshot_locked(self, shard_id):
-        self.snapshot_reads += 1
-        label = shard_label(shard_id)
-        state = self._sections.get(label)
-        alive = {}
-        base_seq = 0
-        if state is not None:
-            base_seq = state.get("base_seq", 0)
-            file = state.get("file")
-            if file is not None and self.dfs.exists(file):
-                for line in self.dfs.read_lines(file):
-                    record = json.loads(line)
-                    alive[record["key"]] = record["entry"]
-        segment = self._segment_path(label)
-        lines = self.dfs.read_lines(segment) if self.dfs.exists(segment) else []
-        lines = list(lines) + list(self._pending.get(label, ()))
-        records = []
-        for line in lines:
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict) and isinstance(record.get("seq"), int):
-                records.append(record)
-        records.sort(key=lambda record: record["seq"])
-        for record in records:
-            if record["seq"] <= base_seq:
-                continue
-            op, key = record.get("op"), record.get("key")
-            if key is None:
-                continue
-            if op == "insert":
-                alive[key] = record["entry"]
-            elif op == "remove":
-                alive.pop(key, None)
-            elif op == "use" and key in alive:
-                stats = alive[key].get("stats")
-                if isinstance(stats, dict):
-                    stats["use_count"] = record["use_count"]
-                    stats["last_used_tick"] = record["last_used_tick"]
-        return alive
-
     def log_ratio(self):
         """(on-DFS + pending) change records per repository entry,
         across all segments (0 entries count as 1; an unattached log
@@ -668,41 +524,17 @@ class RepositoryLog:
 
     def flush(self):
         """Append pending change records to their segments; O(delta),
-        one tail-block append per touched partition — performed by the
-        partition's owning worker when worker ownership was negotiated
-        (the records ride the mutation flush as one combined message,
-        acked), by the front-end otherwise. Same bytes either way."""
+        one tail-block append per touched partition."""
         with self._mutex:
             return self._flush_labels_locked(sorted(self._pending))
 
-    def _worker_pool_locked(self):
-        """The attached repository's durable-capable worker pool, or
-        None when worker ownership is off, unavailable, or the pool has
-        been closed (every caller then writes front-end-side)."""
-        if not self._worker_durable or self.repository is None:
-            return None
-        pool = getattr(self.repository, "worker_pool", None)
-        if pool is None or not getattr(pool, "durable_enabled", False):
-            return None
-        return pool
-
     def _flush_labels_locked(self, labels):
         appended = 0
-        pool = self._worker_pool_locked()
-        shard_ids = {}
-        if pool is not None:
-            shard_ids = {shard_label(shard_id): shard_id
-                         for shard_id in self.repository.shard_sizes()}
         for label in labels:
             lines = self._pending.get(label)
             if not lines:
                 continue
-            segment = self._segment_path(label)
-            if pool is not None and label in shard_ids:
-                appended += self._flush_via_worker_locked(
-                    pool, shard_ids[label], label, segment)
-                continue
-            self.dfs.append_lines(segment, lines)
+            self.dfs.append_lines(self._segment_path(label), lines)
             self._segment_records[label] = (
                 self._segment_records.get(label, 0) + len(lines))
             # Cleared per label as soon as its append lands, so a
@@ -712,71 +544,6 @@ class RepositoryLog:
         self._pending = {label: lines
                          for label, lines in self._pending.items() if lines}
         return appended
-
-    def _flush_via_worker_locked(self, pool, shard_id, label, segment):
-        """Route one label's pending records through its owning worker:
-        the worker appends them to its own segment (via the DFS
-        gateway) and acks; only the ack clears the pending buffer. A
-        crash with the append in flight is *uncertain* — the records
-        may or may not have reached the segment — so the buffer is
-        reconciled against the segment's actual contents (watermark
-        dedup, :meth:`_reconcile_pending_locked`) before the one retry,
-        which a replicated pool serves from the promoted owner. With no
-        durable-capable live worker (or after the retry also died) the
-        front-end appends the remainder itself — every pending record
-        is durable exactly once when this returns."""
-        total = len(self._pending.get(label) or ())
-        for _ in range(2):
-            lines = self._pending.get(label)
-            if not lines:
-                break
-            try:
-                acked = pool.flush_durable(shard_id, segment, lines)
-            except WorkerCrashed:
-                self._reconcile_pending_locked(label, segment)
-                continue
-            if not acked:
-                break
-            self._segment_records[label] = (
-                self._segment_records.get(label, 0) + len(lines))
-            self._pending[label] = []
-            self.worker_flushes += 1
-            break
-        lines = self._pending.get(label)
-        if lines:
-            self.dfs.append_lines(segment, lines)
-            self._segment_records[label] = (
-                self._segment_records.get(label, 0) + len(lines))
-            self._pending[label] = []
-        return total
-
-    def _reconcile_pending_locked(self, label, segment):
-        """Watermark dedup after an uncertain worker append: re-read
-        the segment, drop every pending record whose sequence number is
-        at or below the segment's top (the dead worker already flushed
-        it — re-sending it through a promoted replica or the front-end
-        fallback would make the loader duplicate the entry), and
-        re-sync the segment record count from the file."""
-        lines = (self.dfs.read_lines(segment)
-                 if self.dfs.exists(segment) else [])
-        top = 0
-        for line in lines:
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict) and isinstance(record.get("seq"),
-                                                       int):
-                top = max(top, record["seq"])
-        kept = []
-        for line in self._pending.get(label, ()):
-            if json.loads(line)["seq"] <= top:
-                self.reconciled_records += 1
-            else:
-                kept.append(line)
-        self._pending[label] = kept
-        self._segment_records[label] = len(lines)
-        return top
 
     def checkpoint(self):
         """Bring the on-DFS state up to the live repository.
@@ -861,7 +628,6 @@ class RepositoryLog:
         self._generation += 1
         rank = repository.scan_rank()
         sections = {}
-        rewrites = {}
         for label in sorted(labels):
             if label not in targets:
                 sections[label] = self._sections[label]
@@ -871,44 +637,16 @@ class RepositoryLog:
             file = None
             if members:
                 file = section_file_path(self.path, label, generation)
-                rewrites[label] = members
+                lines = [json.dumps({"position": rank[entry.entry_id],
+                                     "key": self._keys[entry.entry_id],
+                                     "entry": entry_to_json(entry)},
+                                    sort_keys=True)
+                         for entry in members]
+                self.dfs.write_lines(file, lines, overwrite=True)
             sections[label] = {"shard": labels[label], "file": file,
                                "entries": len(members),
                                "base_seq": watermark,
                                "segment": self._segment_path(label)}
-        # Section rewrites go to the owning workers first: each dirty
-        # shard serializes its own replica through the DFS gateway,
-        # concurrently with its siblings. A worker that declined (no
-        # replica yet, missing entry) or crashed leaves its shard out of
-        # `done`; the front-end then performs the byte-identical write
-        # itself — generation-named files make the retry idempotent.
-        done = {}
-        pool = self._worker_pool_locked() if rewrites else None
-        if pool is not None:
-            answered = pool.compact_sections({
-                labels[label]: (sections[label]["file"],
-                                [(entry.entry_id,
-                                  self._keys[entry.entry_id],
-                                  rank[entry.entry_id], entry._sequence,
-                                  entry.stats.use_count,
-                                  entry.stats.last_used_tick)
-                                 for entry in members])
-                for label, members in rewrites.items()})
-            for label in rewrites:
-                if answered.get(labels[label]) == len(rewrites[label]):
-                    done[label] = True
-                    self.worker_sections += 1
-        for label in sorted(rewrites):
-            if done.get(label):
-                continue
-            members = rewrites[label]
-            file = section_file_path(self.path, label, generation)
-            lines = [json.dumps({"position": rank[entry.entry_id],
-                                 "key": self._keys[entry.entry_id],
-                                 "entry": entry_to_json(entry)},
-                                sort_keys=True)
-                     for entry in members]
-            self.dfs.write_lines(file, lines, overwrite=True)
         order = [[self._keys[entry.entry_id], entry._sequence]
                  for entry in repository.scan()]
         # The scan-order record: a delta against the last durable order

@@ -1,15 +1,14 @@
 """statlint — invariant-aware static analysis for this repository.
 
 An AST-based lint framework whose checkers encode *this codebase's*
-concurrency and durability invariants (the ones ARCHITECTURE §6/§7 and
-docs/PERSISTENCE.md state in prose): lock discipline for
-``GUARDED_BY``-annotated fields, a cycle-free lock-acquisition order,
-fork-safety of code reachable from shard-worker entrypoints, crash-safe
-write ordering in the persistence layer, and exception hygiene.
+synchronisation and durability invariants (the ones docs/PERSISTENCE.md
+states in prose): lock discipline for ``GUARDED_BY``-annotated fields,
+a cycle-free lock-acquisition order, crash-safe write ordering in the
+persistence layer, and exception hygiene.
 
 See docs/ANALYSIS.md for the checker catalog, the annotation
-conventions (``GUARDED_BY``, ``# statlint: holds=...``,
-``# statlint: process-entrypoint``), the suppression / baseline
+conventions (``GUARDED_BY``, ``# statlint: holds=...``), the
+suppression / baseline
 workflow, and how to add a checker.
 
 Usage::
@@ -32,6 +31,5 @@ from repro.tools.statlint.core import (  # noqa: F401
 from repro.tools.statlint import (  # noqa: F401  isort: skip
     crashorder,
     exceptions,
-    forksafety,
     locks,
 )

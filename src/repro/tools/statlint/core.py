@@ -3,8 +3,8 @@
 A checker is a class with a ``rule`` id, a ``description``, and a
 ``run(project)`` method yielding :class:`Finding`s; ``@register`` adds
 it to the registry the CLI runs. Checkers see a :class:`Project` — every
-parsed module — so cross-module analyses (lock ordering, fork-safety
-reachability) get the whole picture in one pass.
+parsed module — so cross-module analyses (lock ordering) get the whole
+picture in one pass.
 
 Suppressions are per-line comments with a *required* justification::
 
@@ -30,8 +30,6 @@ from collections import Counter
 #: ``# statlint: disable=rule[,rule] -- justification``
 _SUPPRESS = re.compile(
     r"#\s*statlint:\s*disable=([A-Za-z0-9_,-]+)\s*(?:--\s*(\S.*))?$")
-#: ``# statlint: process-entrypoint`` — marks a fork-safety root.
-_ENTRYPOINT = re.compile(r"#\s*statlint:\s*process-entrypoint\b")
 #: ``# statlint: holds=<lock>[,<lock>]`` — caller-holds-lock contract.
 _HOLDS = re.compile(r"#\s*statlint:\s*holds=([A-Za-z0-9_.,]+)")
 
@@ -85,7 +83,6 @@ class SourceModule:
         self.lines = text.splitlines()
         self.tree = ast.parse(text, filename=relpath)
         self.suppressions = {}   # line -> Suppression
-        self.entrypoint_lines = set()
         self.holds = {}          # line -> set of lock specs
         self._scan_comments()
 
@@ -99,8 +96,6 @@ class SourceModule:
                          if part.strip()}
                 self.suppressions[number] = Suppression(
                     number, rules, match.group(2))
-            if _ENTRYPOINT.search(line):
-                self.entrypoint_lines.add(number)
             match = _HOLDS.search(line)
             if match:
                 self.holds[number] = {part.strip()
@@ -119,10 +114,6 @@ class SourceModule:
         """
         body_start = func.body[0].lineno if func.body else func.lineno
         return range(func.lineno, body_start + 1)
-
-    def func_is_entrypoint(self, func):
-        return any(line in self.entrypoint_lines
-                   for line in self.def_comment_lines(func))
 
     def func_holds(self, func):
         held = set()

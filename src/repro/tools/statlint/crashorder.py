@@ -33,19 +33,6 @@ Rules, within one function:
   one ``write_lines(..., overwrite=True)`` call (write-new-then-swap);
 * R4 — a manifest ``write_lines`` without ``overwrite=True`` (or via
   ``append_lines``) is not a swap at all.
-
-Worker-owned durability adds a fifth rule over the *worker-side*
-modules (``service.py``, ``gateway.py``, ``replication.py`` — the code
-a shard worker process runs or a worker request flows through):
-
-* R5 *manifest-is-front-end-only* — any write or delete whose target
-  classifies as the manifest (``self.path`` / ``path``) in a worker
-  module is flagged, ``overwrite`` or not. Workers own their segment
-  appends and section rewrites; the manifest swap is the coordination
-  point and belongs to ``RepositoryLog`` alone — a worker touching it
-  could publish sections its siblings have not written yet. (This is
-  why the gateway's ``DfsClient`` has no manifest operation: the rule
-  holds by construction, and R5 keeps it holding as the code grows.)
 """
 
 import ast
@@ -77,35 +64,15 @@ class CrashOrdering:
                    "the swap is one overwrite=True write")
 
     MODULES = ("wal.py", "persistence.py")
-    #: Modules a shard worker runs in (or a worker durable request flows
-    #: through): the manifest is front-end-only there (R5).
-    WORKER_MODULES = ("service.py", "gateway.py", "replication.py")
 
     def run(self, project):
         for mod in project.modules:
-            basename = mod.relpath.rsplit("/", 1)[-1]
-            if basename in self.WORKER_MODULES:
-                for func in ast.walk(mod.tree):
-                    if isinstance(func, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                        yield from self._check_worker_function(mod, func)
-                continue
-            if basename not in self.MODULES:
+            if mod.relpath.rsplit("/", 1)[-1] not in self.MODULES:
                 continue
             for func in ast.walk(mod.tree):
                 if isinstance(func, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                     yield from self._check_function(mod, func)
-
-    def _check_worker_function(self, mod, func):
-        for event in _collect_events(func):
-            if event.category == "manifest":
-                yield mod.finding(self.rule, event.line, (
-                    "manifest %s in a worker-side module; the manifest "
-                    "swap is the coordination point and is written by "
-                    "the front-end RepositoryLog only (workers own "
-                    "segments and sections, never the manifest)"
-                    % (event.kind,)))
 
     def _check_function(self, mod, func):
         events = _collect_events(func)

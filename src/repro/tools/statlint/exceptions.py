@@ -1,18 +1,13 @@
 """``exception-hygiene`` — no silent failure channels.
 
-Three shapes are findings:
+Two shapes are findings:
 
 * ``except:`` (bare) — catches ``SystemExit``/``KeyboardInterrupt``
   and hides typos alike; name the exception;
 * ``except BaseException`` without a ``raise`` anywhere in the handler
   — a BaseException catch is only legitimate as a *poisoning* pattern
   that re-surfaces the error on another path, and that contract is
-  exactly what a justified suppression documents (the registrar's
-  batch handler in ingest.py is the exemplar);
-* an ``except WorkerCrashed`` handler whose body is only
-  ``pass``/``continue``/docstrings — a crashed shard worker holds
-  un-replayed mutations, so swallowing the crash silently loses data;
-  real handlers recover (``_recover``), retry, or count casualties.
+  exactly what a justified suppression documents.
 
 ``raise`` statements inside functions nested in the handler do not
 count as a re-surface path.
@@ -51,23 +46,11 @@ def _contains_raise(body):
     return False
 
 
-def _only_swallows(body):
-    for stmt in body:
-        if isinstance(stmt, (ast.Pass, ast.Continue)):
-            continue
-        if isinstance(stmt, ast.Expr) and isinstance(stmt.value,
-                                                     ast.Constant):
-            continue
-        return False
-    return True
-
-
 @register
 class ExceptionHygiene:
     rule = "exception-hygiene"
     description = ("no bare 'except:'; 'except BaseException' must "
-                   "re-raise (or justify its poisoning contract); "
-                   "'except WorkerCrashed' must not swallow the crash")
+                   "re-raise (or justify its poisoning contract)")
 
     def run(self, project):
         for mod in project.modules:
@@ -87,10 +70,3 @@ class ExceptionHygiene:
                         "'except BaseException' without a 'raise'; "
                         "narrow it, re-raise, or document the re-surface "
                         "path with a justified suppression")
-                if ("WorkerCrashed" in caught
-                        and _only_swallows(node.body)):
-                    yield mod.finding(
-                        self.rule, node,
-                        "'except WorkerCrashed' swallows the crash; a "
-                        "dead worker holds un-replayed mutations — "
-                        "recover, retry, or surface it")

@@ -4,8 +4,8 @@
 ``GUARDED_BY`` class attribute mapping field names to the lock that
 protects them::
 
-    class IngestQueue:
-        GUARDED_BY = {"_records": "_lock", "_closed": "_lock"}
+    class RepositoryLog:
+        GUARDED_BY = {"_seq": "_mutex", "_pending": "_mutex"}
 
 Every ``self.<field>`` access in the class's methods must then sit
 lexically inside ``with self.<lock>:``. Three escape hatches, all
@@ -14,8 +14,8 @@ conventions this repo already uses:
 * ``__init__``/``__del__`` are exempt (no concurrency yet/anymore);
 * methods named ``*_locked`` assert "caller holds the lock";
 * ``# statlint: holds=<lock>`` on the ``def`` line records an
-  interprocedural contract (e.g. the manager's apply hooks, which the
-  registrar only invokes under the ingest lock).
+  interprocedural contract (the function is only ever called with
+  ``<lock>`` held).
 
 Nested functions defined inside a method are not analyzed: the lock
 held at the definition site says nothing about the call site.
@@ -27,8 +27,9 @@ lock), and an edge A→B means code acquires B while holding A, either
 via a nested ``with`` or via a call whose transitive callees (matched
 by function name) acquire B. Repository mutators (``insert``,
 ``remove``, ...) fan out to change-event listeners the AST cannot see,
-so those call names imply ``_on_event`` — the edge through which the
-ingest lock orders before the wal mutex. Cycles are findings, as is
+so those call names imply ``_on_event`` — the edge through which any
+lock held around a repository mutation orders before the wal mutex.
+Cycles are findings, as is
 re-acquiring a non-reentrant lock already held.
 """
 
@@ -159,7 +160,7 @@ class LockOrdering:
     #: out to change-event listeners (``RepositoryLog._on_event`` takes
     #: ``_mutex`` there). The listener list is runtime state the AST
     #: cannot see, so these call names imply a ``_on_event`` call.
-    NOTIFY_CALLS = {"insert", "insert_batch", "remove", "record_use",
+    NOTIFY_CALLS = {"insert", "remove", "record_use",
                     "force_scan_order"}
     LOCK_FACTORIES = {"Lock": False, "RLock": True}
 

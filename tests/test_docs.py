@@ -6,8 +6,10 @@ tier-1 too means a broken README link fails locally before it reaches
 CI.
 """
 
+import importlib.util
 import os
 import py_compile
+import re
 
 from repro.tools.doccheck import (check_file, find_orphans,
                                   iter_markdown_files, link_targets, main)
@@ -178,3 +180,22 @@ class TestExamplesCompile:
                 with open(_repo_path("examples", name),
                           encoding="utf-8") as handle:
                     assert "def main():" in handle.read(), name
+
+
+class TestExamplesRun:
+    def test_quickstart_prints_no_nonsense_ratios(self, capsys):
+        """The re-submitted Q2 takes 0 simulated seconds, so its speedup
+        is undefined: the quickstart must say ``n/a``, not divide by a
+        tiny epsilon."""
+        spec = importlib.util.spec_from_file_location(
+            "quickstart_example", _repo_path("examples", "quickstart.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.main()
+        out = capsys.readouterr().out
+        [resubmit] = [line for line in out.splitlines()
+                      if line.startswith("Q2 re-submitted:")]
+        assert "(n/a)" in resubmit
+        ratios = [float(value) for value in re.findall(r"([\d.]+)x\b", out)]
+        assert ratios  # the speedup line still prints a real ratio
+        assert max(ratios) <= 1e6

@@ -28,7 +28,6 @@ total simulated workflow cost never exceeds the structural run's on the
 same randomized stream.
 """
 
-import contextlib
 import itertools
 import json
 import random
@@ -57,9 +56,6 @@ from repro.restore import (
 from repro.restore.matcher import contains, find_containment, pairwise_plan_traversal
 from repro.restore.persistence import CATCHALL_LABEL, segment_file_path
 from repro.restore.stats import EntryStats
-
-from tests.faultinject import (FaultSchedule, install_hang_guard,
-                               ProtocolWindowKill)
 
 SCHEMA = Schema(
     [
@@ -370,454 +366,6 @@ def test_property_repositories_equivalent_to_seed(plan_pool):
             for name, repo in fleet:
                 assert [e.output_path for e in repo.scan()] == \
                     [e.output_path for e in seed.scan()], (context, name)
-
-
-# --- The worker-process service never changes decisions (PR 6) ----------------
-#
-# The same lock-step discipline, pointed at executor="processes": the
-# process-backed ShardedRepository (2 and 8 shards, each partition a
-# worker process behind the routing front-end) joins serial sharded
-# twins and the frozen seed on randomized insert/remove/use/probe
-# streams. Scan orders, find_equivalent answers, and match decisions —
-# per-plan AND through the batched probe API — must be identical
-# throughout, and the durable state the attached RepositoryLog wrote
-# for a process-backed arm must reload bit-identically.
-
-
-def test_property_worker_processes_equivalent_to_serial(plan_pool):
-    for stream in range(12):
-        rng = random.Random(15000 + stream)
-        dfs = DistributedFileSystem()
-        seed = LinearScanRepository()
-        fleet = [
-            ("serial-2", ShardedRepository(num_shards=2)),
-            ("processes-2", ShardedRepository(num_shards=2,
-                                              executor="processes")),
-            ("serial-8", ShardedRepository(num_shards=8)),
-            ("processes-8", ShardedRepository(num_shards=8,
-                                              executor="processes")),
-        ]
-        # Durability rides on a process-backed arm: its log must write
-        # the same durable state a serial repository's would.
-        log = RepositoryLog(dfs)
-        log.attach(fleet[1][1])
-        twins = {}  # output_path -> [entry per fleet repo..., seed entry]
-        tick = 0
-        try:
-            for step in range(rng.randint(8, 14)):
-                context = f"stream={stream} step={step}"
-                action = rng.random()
-                if action < 0.50 or not twins:
-                    plan = _pool_plan(plan_pool,
-                                      rng.randrange(len(plan_pool)),
-                                      rng.choice([0, 0, 1]))
-                    stats = EntryStats(
-                        input_bytes=rng.choice([1000, 2000, 10000]),
-                        output_bytes=rng.choice([10, 100, 1000]),
-                        producing_job_time=rng.choice([1.0, 5.0, 60.0]),
-                        created_tick=tick,
-                    )
-                    path = f"/stored/p{stream}-{step}"
-                    entries = [RepositoryEntry(plan, path, stats)
-                               for _ in range(len(fleet) + 1)]
-                    for (_, repo), entry in zip(fleet, entries):
-                        repo.insert(entry)
-                    seed.insert(entries[-1])
-                    twins[path] = entries
-                elif action < 0.62:
-                    victim = seed.scan()[rng.randrange(len(seed))]
-                    entries = twins.pop(victim.output_path)
-                    for (_, repo), entry in zip(fleet, entries):
-                        repo.remove(entry)
-                    seed.remove(entries[-1])
-                elif action < 0.72:
-                    tick += 1
-                    victim = seed.scan()[rng.randrange(len(seed))]
-                    for (_, repo), entry in zip(fleet,
-                                                twins[victim.output_path]):
-                        repo.record_use(entry, tick)
-                else:
-                    probes = [_pool_plan(plan_pool,
-                                         rng.randrange(len(plan_pool)),
-                                         rng.choice([0, 0, 1]))
-                              for _ in range(rng.randint(1, 3))]
-                    expected = [_first_match_path(seed.scan(), probe)
-                                for probe in probes]
-                    serial_candidates = None
-                    for name, repo in fleet:
-                        singly = [repo.match_candidates(probe)
-                                  for probe in probes]
-                        # The batched service path answers exactly like
-                        # the per-plan calls, for every fleet member.
-                        batched = repo.match_candidates_batch(probes)
-                        assert [[e.output_path for e in cs] for cs in
-                                batched] \
-                            == [[e.output_path for e in cs] for cs in
-                                singly], (context, name)
-                        firsts = [_first_match_path(cs, probe)
-                                  for cs, probe in zip(singly, probes)]
-                        assert firsts == expected, (context, name)
-                        paths = [[e.output_path for e in cs]
-                                 for cs in singly]
-                        if serial_candidates is None:
-                            serial_candidates = paths
-                        else:
-                            assert paths == serial_candidates, \
-                                (context, name)
-                        for probe in probes:
-                            found = repo.find_equivalent(probe)
-                            seed_found = seed.find_equivalent(probe)
-                            assert (found is None) == (seed_found is None), \
-                                (context, name)
-                            if found is not None:
-                                assert found.output_path \
-                                    == seed_found.output_path, (context, name)
-                for name, repo in fleet:
-                    assert [e.output_path for e in repo.scan()] == \
-                        [e.output_path for e in seed.scan()], (context, name)
-            log.checkpoint()
-            _assert_reload_matches_live(dfs, fleet[1][1], plan_pool, rng,
-                                        f"stream={stream} reload")
-        finally:
-            log.close()
-            for _, repo in fleet:
-                repo.close()
-
-
-# --- Replication never changes decisions, even under kills (PR 7) -------------
-#
-# The same lock-step discipline again, pointed at replicas=2 — with
-# deterministic fault injection riding along: every stream kills a
-# seed-chosen replica after its seed-chosen Nth message, mid-stream.
-# Scan orders, find_equivalent answers, match decisions (per-plan AND
-# batched, which the replicated pool splits across the replica set),
-# and the executor-independent stats must stay identical to the serial
-# twins and the frozen seed throughout; at end of stream every shard's
-# surviving-or-backfilled replicas must hold bit-identical state images;
-# and the durable log written by a replicated arm must reload exactly.
-
-
-def test_property_replicated_workers_equivalent_under_faults(plan_pool):
-    cancel_guard = install_hang_guard(600.0)
-    try:
-        for stream in range(12):
-            rng = random.Random(17000 + stream)
-            dfs = DistributedFileSystem()
-            seed = LinearScanRepository()
-            fleet = [
-                ("serial-2", ShardedRepository(num_shards=2)),
-                ("replicated-2x2", ShardedRepository(num_shards=2,
-                                                     executor="processes",
-                                                     replicas=2)),
-                ("serial-8", ShardedRepository(num_shards=8)),
-                ("replicated-8x2", ShardedRepository(num_shards=8,
-                                                     executor="processes",
-                                                     replicas=2)),
-            ]
-            log = RepositoryLog(dfs)
-            log.attach(fleet[1][1])
-            twins = {}
-            tick = 0
-            try:
-                with contextlib.ExitStack() as faults:
-                    # One seed-chosen kill per replicated pool, armed for
-                    # the whole stream: the victim replica dies as its
-                    # Nth message is sent — maybe during a flush, maybe
-                    # mid-probe, maybe never (if the stream is too
-                    # short), but the same way on every run of the seed.
-                    for name, repo in fleet:
-                        pool = repo.worker_pool
-                        if pool is None:
-                            continue
-                        faults.enter_context(FaultSchedule.from_seed(
-                            17000 + stream, range(repo.num_shards),
-                            replicas=2, kills=1, pool=pool))
-                    for step in range(rng.randint(8, 14)):
-                        context = f"stream={stream} step={step}"
-                        action = rng.random()
-                        if action < 0.50 or not twins:
-                            plan = _pool_plan(plan_pool,
-                                              rng.randrange(len(plan_pool)),
-                                              rng.choice([0, 0, 1]))
-                            stat_values = dict(
-                                input_bytes=rng.choice([1000, 2000, 10000]),
-                                output_bytes=rng.choice([10, 100, 1000]),
-                                producing_job_time=rng.choice([1.0, 5.0,
-                                                               60.0]),
-                                created_tick=tick,
-                            )
-                            path = f"/stored/r{stream}-{step}"
-                            # One EntryStats per twin (unlike the older
-                            # lock-step arms, which share one object):
-                            # use-stamps now travel into the worker
-                            # replicas as values, so each repository's
-                            # entry must carry its own per-repo history.
-                            entries = [RepositoryEntry(plan, path,
-                                                       EntryStats(
-                                                           **stat_values))
-                                       for _ in range(len(fleet) + 1)]
-                            for (_, repo), entry in zip(fleet, entries):
-                                repo.insert(entry)
-                            seed.insert(entries[-1])
-                            twins[path] = entries
-                        elif action < 0.62:
-                            victim = seed.scan()[rng.randrange(len(seed))]
-                            entries = twins.pop(victim.output_path)
-                            for (_, repo), entry in zip(fleet, entries):
-                                repo.remove(entry)
-                            seed.remove(entries[-1])
-                        elif action < 0.72:
-                            tick += 1
-                            victim = seed.scan()[rng.randrange(len(seed))]
-                            for (_, repo), entry in zip(
-                                    fleet, twins[victim.output_path]):
-                                repo.record_use(entry, tick)
-                        else:
-                            probes = [_pool_plan(plan_pool,
-                                                 rng.randrange(len(plan_pool)),
-                                                 rng.choice([0, 0, 1]))
-                                      for _ in range(rng.randint(1, 3))]
-                            expected = [_first_match_path(seed.scan(), probe)
-                                        for probe in probes]
-                            serial_candidates = None
-                            for name, repo in fleet:
-                                singly = [repo.match_candidates(probe)
-                                          for probe in probes]
-                                batched = repo.match_candidates_batch(probes)
-                                assert [[e.output_path for e in cs]
-                                        for cs in batched] \
-                                    == [[e.output_path for e in cs]
-                                        for cs in singly], (context, name)
-                                firsts = [_first_match_path(cs, probe)
-                                          for cs, probe in zip(singly,
-                                                               probes)]
-                                assert firsts == expected, (context, name)
-                                paths = [[e.output_path for e in cs]
-                                         for cs in singly]
-                                if serial_candidates is None:
-                                    serial_candidates = paths
-                                else:
-                                    assert paths == serial_candidates, \
-                                        (context, name)
-                        for name, repo in fleet:
-                            assert [e.output_path for e in repo.scan()] == \
-                                [e.output_path for e in seed.scan()], \
-                                (context, name)
-                # Schedules released: end-of-stream invariants. Every
-                # replicated shard's set — survivors promoted warm,
-                # replacements backfilled, or whole sets cold-rebuilt —
-                # must hold bit-identical state images of the right size.
-                for name, repo in fleet:
-                    pool = repo.worker_pool
-                    if pool is None:
-                        continue
-                    for shard_id, size in repo.shard_sizes().items():
-                        if size == 0 and pool.replica_count(shard_id) == 0:
-                            continue
-                        states = pool.replica_states(shard_id)
-                        assert len(states) == repo.replicas, \
-                            (stream, name, shard_id)
-                        assert all(state == states[0] for state in states), \
-                            (stream, name, shard_id)
-                        assert len(states[0]) == size, \
-                            (stream, name, shard_id)
-                        assert pool.worker_size(shard_id) == size, \
-                            (stream, name, shard_id)
-                # The executor-independent stats agree with the serial
-                # twin of the same shard count; replication only adds
-                # its own counters on top.
-                for serial_name, replicated_name in [(0, 1), (2, 3)]:
-                    serial_stats = {
-                        shard.stats.shard_id: (shard.stats.probes,
-                                               shard.stats.candidates_returned,
-                                               shard.stats.occupancy)
-                        for shard in fleet[serial_name][1].partitions()}
-                    replicated_stats = {
-                        shard.stats.shard_id: (shard.stats.probes,
-                                               shard.stats.candidates_returned,
-                                               shard.stats.occupancy)
-                        for shard in fleet[replicated_name][1].partitions()}
-                    assert replicated_stats == serial_stats, (stream,
-                                                              replicated_name)
-                log.checkpoint()
-                _assert_reload_matches_live(dfs, fleet[1][1], plan_pool, rng,
-                                            f"stream={stream} reload")
-            finally:
-                log.close()
-                for _, repo in fleet:
-                    repo.close()
-    finally:
-        cancel_guard()
-
-
-# --- Worker-owned durability: crash matrix over the checkpoint protocol -------
-#
-# The seventh fault family (PR 10): the durable protocol between the
-# front-end RepositoryLog and the owning workers has four windows a
-# crash can land in — before the combined append is delivered, after the
-# segment append is durable but before the ack, after the section
-# rewrite is durable but before the ack, and after the ack but before
-# the manifest swap. One window per stream, each window exercised at
-# both shard counts across the 12 streams: whatever the window, the
-# coordinator must heal inside the same flush/compact, the stream must
-# continue in lock-step with the serial twin and the frozen seed, and
-# reload must be bit-identical to the live repository — the only
-# on-DFS residue being orphan/stale data the loader already tolerates.
-
-
-def test_property_worker_durable_crash_matrix(plan_pool):
-    cancel_guard = install_hang_guard(600.0)
-    try:
-        for stream in range(12):
-            window = ProtocolWindowKill.WINDOWS[stream % 4]
-            num_shards = (2, 8)[stream % 2]
-            rng = random.Random(19000 + stream)
-            dfs = DistributedFileSystem()
-            seed = LinearScanRepository()
-            # Entered before the repositories exist: the worker-side
-            # windows patch DfsClient at class level, and forked workers
-            # only see patches installed before the fork.
-            with ProtocolWindowKill(window) as crash:
-                fleet = [
-                    ("serial", ShardedRepository(num_shards=num_shards)),
-                    ("worker-durable",
-                     ShardedRepository(num_shards=num_shards,
-                                       executor="processes")),
-                ]
-                live = fleet[1][1]
-                log = RepositoryLog(dfs)
-                log.attach(live)
-                twins = {}
-                plans = {}
-                tick = 0
-
-                def insert(tag):
-                    plan = _pool_plan(plan_pool,
-                                      rng.randrange(len(plan_pool)),
-                                      rng.choice([0, 0, 1]))
-                    stat_values = dict(
-                        input_bytes=rng.choice([1000, 2000, 10000]),
-                        output_bytes=rng.choice([10, 100, 1000]),
-                        producing_job_time=rng.choice([1.0, 5.0, 60.0]),
-                        created_tick=tick,
-                    )
-                    path = f"/stored/c{stream}-{tag}"
-                    # One EntryStats per twin: use-stamps travel into
-                    # the workers as values, so each repository's entry
-                    # carries its own per-repo history.
-                    entries = [RepositoryEntry(plan, path,
-                                               EntryStats(**stat_values))
-                               for _ in range(len(fleet) + 1)]
-                    for (_, repo), entry in zip(fleet, entries):
-                        repo.insert(entry)
-                    seed.insert(entries[-1])
-                    twins[path] = entries
-                    plans[path] = plan
-
-                def run_steps(count, phase):
-                    nonlocal tick
-                    for step in range(count):
-                        context = (f"stream={stream} window={window} "
-                                   f"{phase}={step}")
-                        action = rng.random()
-                        if action < 0.50 or not twins:
-                            insert(f"{phase}-{step}")
-                        elif action < 0.62:
-                            victim = seed.scan()[rng.randrange(len(seed))]
-                            entries = twins.pop(victim.output_path)
-                            plans.pop(victim.output_path)
-                            for (_, repo), entry in zip(fleet, entries):
-                                repo.remove(entry)
-                            seed.remove(entries[-1])
-                        elif action < 0.72:
-                            tick += 1
-                            victim = seed.scan()[rng.randrange(len(seed))]
-                            for (_, repo), entry in zip(
-                                    fleet, twins[victim.output_path]):
-                                repo.record_use(entry, tick)
-                        else:
-                            probes = [
-                                _pool_plan(plan_pool,
-                                           rng.randrange(len(plan_pool)),
-                                           rng.choice([0, 0, 1]))
-                                for _ in range(rng.randint(1, 3))]
-                            expected = [
-                                _first_match_path(seed.scan(), probe)
-                                for probe in probes]
-                            for name, repo in fleet:
-                                candidates = [repo.match_candidates(probe)
-                                              for probe in probes]
-                                firsts = [_first_match_path(cs, probe)
-                                          for cs, probe in zip(candidates,
-                                                               probes)]
-                                assert firsts == expected, (context, name)
-                        for name, repo in fleet:
-                            assert [e.output_path for e in repo.scan()] == \
-                                [e.output_path for e in seed.scan()], \
-                                (context, name)
-
-                try:
-                    assert live.worker_pool.durable_enabled, stream
-                    run_steps(rng.randint(6, 10), "pre")
-                    if not twins:
-                        insert("tail")
-                    # Probing with every live entry's plan consults (and
-                    # therefore spawns) the worker of every partition
-                    # holding pending records or members — the kill
-                    # windows need the durable protocol to actually run,
-                    # and flush_durable/compact_sections never spawn.
-                    live.match_candidates_batch(list(plans.values()))
-                    if window in ("segment-append", "segment-appended"):
-                        log.flush()
-                    else:
-                        log.compact()
-                    assert crash.fired, (stream, window)
-                    if window == "segment-append":
-                        # Died before delivery: nothing reached the
-                        # segment, so the reconcile keeps every record
-                        # and the fallback re-append loses nothing.
-                        assert crash.killed, (stream, window)
-                        assert log.reconciled_records == 0, (stream,
-                                                             window)
-                    elif window == "segment-appended":
-                        # The double-append window: the records landed
-                        # but the ack did not, so the watermark
-                        # reconcile must have dropped exactly the
-                        # landed lines — no seq appears twice in any
-                        # segment.
-                        assert log.reconciled_records > 0, (stream,
-                                                            window)
-                        for label in sorted(log._segment_records):
-                            segment = log._segment_path(label)
-                            if not dfs.exists(segment):
-                                continue
-                            seqs = [json.loads(line)["seq"]
-                                    for line in dfs.read_lines(segment)]
-                            assert len(seqs) == len(set(seqs)), \
-                                (stream, window, label)
-                    elif window == "acked":
-                        # The ack arrived before the kill, so at least
-                        # one section rewrite was worker-owned and the
-                        # manifest swap (front-end work) completed.
-                        assert crash.killed, (stream, window)
-                        assert log.worker_sections >= 1, (stream, window)
-                    _assert_reload_matches_live(
-                        dfs, live, plan_pool, rng,
-                        f"stream={stream} window={window} mid")
-                    # The coordinator healed around the corpse inside
-                    # the same flush/compact; the stream continues and
-                    # the next probe of the dead shard recovers it.
-                    run_steps(rng.randint(4, 8), "post")
-                    log.checkpoint()
-                    _assert_reload_matches_live(
-                        dfs, live, plan_pool, rng,
-                        f"stream={stream} window={window} reload")
-                finally:
-                    log.close()
-                    for _, repo in fleet:
-                        repo.close()
-    finally:
-        cancel_guard()
 
 
 # --- Incremental persistence: snapshot+log replay is exact (PR 4) -------------
@@ -1176,23 +724,18 @@ def test_property_savings_ranker_streams_are_safe():
         manager_module.apply_rewrite = original_apply
 
 
-# --- Async ingest is invisible (PR 8) ------------------------------------------
+# --- Eviction never changes decisions across repositories ---------------------
 #
-# The sixth lock-step family: the same randomized workflow streams,
-# driven through managers whose registrations drain on a background
-# registrar thread (``ingest="async"``) — against the inline indexed
-# manager and the frozen seed. Registration is captured on the submit
-# path and applied later by the *same* code inline mode runs, so with a
-# ``flush()`` barrier before every observation the decisions must be
-# bit-identical: rewrites, eliminations, injected stores, registrations,
-# retention-policy rejections, Rule 3/4 evictions (the sweep replays at
-# the captured tick), scan orders, and outputs. A tight retention window
-# plus mid-stream input reseeds keeps the eviction rules genuinely
-# exercised, and a durable async arm must checkpoint to a bit-identical
-# reload.
+# The same randomized workflow streams, driven through managers on the
+# indexed, sharded and durable repositories against the frozen seed,
+# under a tight retention window plus mid-stream input reseeds so Rules
+# 3 and 4 genuinely evict: rewrites, eliminations, injected stores,
+# registrations, retention-policy rejections, evictions, scan orders
+# and outputs must be bit-identical, and the durable arm must
+# checkpoint to a bit-identical reload.
 
 
-def _ingest_shape(manager):
+def _eviction_shape(manager):
     """Like _report_shape, but safe under eviction: entry ids registered
     earlier in a submit may be swept at its end, so counts stand in for
     dereferenced paths (the scan list still pins the full end state)."""
@@ -1211,7 +754,7 @@ def _ingest_shape(manager):
     }
 
 
-def test_property_async_ingest_matches_inline_and_seed():
+def test_property_eviction_streams_match_seed():
     from repro.restore import HeuristicRetentionPolicy
 
     for stream in range(8):
@@ -1238,28 +781,22 @@ def test_property_async_ingest_matches_inline_and_seed():
                      if rng.random() < 0.5 else None)
 
         arms = [
-            ("seed-inline", lambda: LinearScanRepository(), {}, False),
-            ("indexed-inline", lambda: Repository(), {}, False),
-            ("indexed-async", lambda: Repository(),
-             dict(ingest="async"), False),
-            ("sharded2-async", lambda: ShardedRepository(num_shards=2),
-             dict(ingest="async", ingest_batch_size=4), False),
-            ("durable-async", lambda: Repository(),
-             dict(ingest="async"), True),
+            ("seed", lambda: LinearScanRepository(), False),
+            ("indexed", lambda: Repository(), False),
+            ("sharded2", lambda: ShardedRepository(num_shards=2), False),
+            ("durable", lambda: Repository(), True),
         ]
         results = {}
-        for name, factory, kwargs, durable in arms:
+        for name, factory, durable in arms:
             system = PigSystem()
             system.dfs.write_lines(
                 "/data/t", [encode_row(r, SCHEMA) for r in rows])
-            if durable:
-                kwargs = dict(kwargs,
-                              persistence=RepositoryLog(system.dfs,
-                                                        compact_ratio=2.0))
+            persistence = (RepositoryLog(system.dfs, compact_ratio=2.0)
+                           if durable else None)
             manager = system.restore(
                 repository=factory(),
                 retention=HeuristicRetentionPolicy(window_ticks=window),
-                **kwargs)
+                persistence=persistence)
             try:
                 shapes, counters = [], []
                 for name_index, query in enumerate(queries):
@@ -1271,16 +808,13 @@ def test_property_async_ingest_matches_inline_and_seed():
                             [encode_row(r, SCHEMA) for r in reseed_rows],
                             overwrite=True)
                     manager.submit(system.compile(query, f"s{name_index}"))
-                    # The drain barrier: every assertion below observes a
-                    # fully-applied record stream (no-op for inline arms).
-                    manager.flush()
-                    shapes.append(_ingest_shape(manager))
+                    shapes.append(_eviction_shape(manager))
                     counters.append(
                         manager.last_report.match_counters.as_dict())
                 outputs = {f"/out/s{q}": system.dfs.read_lines(f"/out/s{q}")
                            for q in range(len(queries))}
                 if durable:
-                    # checkpoint_every=1: after the final flush the log
+                    # checkpoint_every=1: after the final submit the log
                     # is current; the reload must be bit-identical.
                     assert _entry_state(load_repository(system.dfs)) == \
                         _entry_state(manager.repository), \
@@ -1289,14 +823,13 @@ def test_property_async_ingest_matches_inline_and_seed():
                 manager.close()
             results[name] = (shapes, outputs, counters)
 
-        seed_shapes, seed_outputs, _ = results["seed-inline"]
-        indexed_counters = results["indexed-inline"][2]
-        for name in ("indexed-inline", "indexed-async", "sharded2-async",
-                     "durable-async"):
+        seed_shapes, seed_outputs, _ = results["seed"]
+        indexed_counters = results["indexed"][2]
+        for name in ("indexed", "sharded2", "durable"):
             shapes, outputs, counters = results[name]
             label = f"stream={stream} arm={name}"
             assert shapes == seed_shapes, label
             assert outputs == seed_outputs, label
             # Indexed and sharded arms see identical candidate
-            # sequences, async or not: skip accounting must match.
+            # sequences: skip accounting must match.
             assert counters == indexed_counters, label

@@ -1,5 +1,10 @@
 """End-to-end ReStore tests: reuse across workflows, per the paper."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.restore import (
@@ -7,7 +12,9 @@ from repro.restore import (
     ConservativeHeuristic,
     NoHeuristic,
     ReStore,
+    ReStoreReport,
 )
+from repro.restore.stats import EntryStats
 
 from tests.helpers import (
     compile_query,
@@ -296,14 +303,11 @@ class TestResourceAccounting:
         # discard of the same location is no longer wrongly blocked.
         assert not set(removed_paths) & restore._kept_paths
 
-    def test_async_disabled_registration_discards_each_file_once(self):
-        """The async twin of the orphan-store fix (PR 8): with
-        registration off, the pending candidates' files are routed
-        through exactly ONE discard channel — the enqueued
-        DiscardRecord — never also the per-submit discard list, which
-        would delete every path once per route."""
+    def test_disabled_registration_discards_files_once(self):
+        """With registration off, every pending candidate's file is
+        queued for discard exactly once, so each path is deleted once."""
         restore = fresh_restore(self.dfs, heuristic=AggressiveHeuristic(),
-                                enable_registration=False, ingest="async")
+                                enable_registration=False)
         deleted = []
         original = self.dfs.delete_if_exists
 
@@ -313,7 +317,6 @@ class TestResourceAccounting:
 
         self.dfs.delete_if_exists = counting_delete
         restore.submit(compile_query(Q1_TEXT, "q1", self.dfs))
-        restore.flush()
         restore.close()
         assert len(restore.repository) == 0
         assert self.dfs.list_files(ReStore.MATERIALIZED_PREFIX) == []
@@ -321,3 +324,61 @@ class TestResourceAccounting:
                         if path.startswith(ReStore.MATERIALIZED_PREFIX)]
         assert materialized  # the injected stores did execute
         assert len(materialized) == len(set(materialized))
+
+
+class TestInlineRegistration:
+    def setup_method(self):
+        self.dfs = make_dfs()
+        seed_page_views(self.dfs)
+        seed_users(self.dfs, include=range(6))
+
+    def test_equivalent_registration_keeps_first_entry(self):
+        """A second registration of the same computation at another path
+        is deduplicated by ``find_equivalent``: one entry, the first
+        path, one registration on the report."""
+        manager = fresh_restore(self.dfs, heuristic=None)
+        job = compile_query(Q1_TEXT, "manual", self.dfs).topological_jobs()[0]
+        frontier = job.plan.stores()[0].inputs[0]
+        manager.last_report = ReStoreReport("manual")
+        for path in ("/stored/a", "/stored/b"):
+            stats = EntryStats(input_bytes=1000, output_bytes=10,
+                               producing_job_time=2.0, map_time=0.5,
+                               reduce_time=0.5, created_tick=1)
+            manager.apply_register(job.plan, frontier, path, stats,
+                                   owns_file=False, origin="whole-job")
+        [entry] = manager.repository.scan()
+        assert entry.output_path == "/stored/a"
+        assert len(manager.last_report.registered_entries) == 1
+
+    def test_restore_starts_no_processes_or_threads(self):
+        """ReStore runs in one process on the caller's thread: a durable
+        submit imports no process or thread-pool machinery and leaves
+        only the main thread alive."""
+        script = textwrap.dedent("""
+            import sys
+            import threading
+
+            import repro
+            from tests.helpers import (compile_query, make_cost_model,
+                                       make_dfs, Q1_TEXT, seed_page_views,
+                                       seed_users)
+
+            dfs = make_dfs()
+            seed_page_views(dfs)
+            seed_users(dfs, include=range(6))
+            manager = repro.restore.ReStore(dfs, make_cost_model(),
+                                            persistence=True)
+            manager.submit(compile_query(Q1_TEXT, "q1", dfs))
+            assert len(manager.repository) > 0
+            loaded = {"multiprocessing", "concurrent.futures"} & set(sys.modules)
+            assert not loaded, loaded
+            assert threading.active_count() == 1, threading.enumerate()
+        """)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([os.path.join(root, "src"),
+                                               root]))
+        completed = subprocess.run([sys.executable, "-c", script], cwd=root,
+                                   env=env, capture_output=True, text=True,
+                                   timeout=120)
+        assert completed.returncode == 0, completed.stderr

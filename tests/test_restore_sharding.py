@@ -1,6 +1,5 @@
-"""Unit tests for the sharded repository (layout, fan-out, executors,
-the worker-process service, per-shard statistics, and the manager
-integration)."""
+"""Unit tests for the sharded repository (layout, fan-out, per-shard
+statistics, and the manager integration)."""
 
 import pytest
 
@@ -11,38 +10,18 @@ from repro.physical.plan import PhysicalPlan
 from repro.restore import (
     Repository,
     RepositoryEntry,
-    RepositoryLog,
-    RepositoryService,
     ShardedRepository,
-    ShardWorkerPool,
 )
-from repro.restore.persistence import entry_to_json, SkeletonOp
-from repro.restore.service import ShardWorkerState
-from repro.restore.sharding import (
-    CATCHALL_SHARD,
-    SerialExecutor,
-    shard_index_for_key,
-    ThreadPoolProbeExecutor,
-)
+from repro.restore.persistence import SkeletonOp
+from repro.restore.sharding import CATCHALL_SHARD, shard_index_for_key
 from repro.restore.stats import EntryStats
 
-from tests.faultinject import FaultSchedule, install_hang_guard
 from tests.helpers import (
-    make_dfs,
     Q1_TEXT,
     Q2_TEXT,
     seed_page_views,
     seed_users,
 )
-
-
-@pytest.fixture(autouse=True)
-def _hang_guard():
-    # Worker/IPC tests that lose a queue message hang forever; turn a
-    # hang into a stack dump + hard failure instead of a stuck CI job.
-    cancel = install_hang_guard()
-    yield
-    cancel()
 
 
 def _chain_plan(index, path, extra_op=None):
@@ -120,7 +99,8 @@ class TestShardLayout:
             ShardedRepository(num_shards=0)
 
     def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError):
+        # Probes run serially in-process; there is no executor knob.
+        with pytest.raises(TypeError):
             ShardedRepository(num_shards=2, executor="bogus")
 
 
@@ -183,292 +163,6 @@ class TestFanOut:
         assert entries[4] not in repo.match_candidates(probe)
         with pytest.raises(RepositoryError):
             repo.remove(entries[4])
-
-
-class TestExecutors:
-    def test_thread_pool_matches_serial(self):
-        serial = ShardedRepository(num_shards=8, executor="serial")
-        threaded = ShardedRepository(num_shards=8, executor="threads",
-                                     max_workers=4)
-        for index in range(40):
-            path = f"/data/d{index % 5}"
-            serial.insert(_entry(index, path))
-            threaded.insert(_entry(index, path))
-        # Multi-load probe: fans out to several shards through the pool.
-        load_a = POLoad("/data/d0", None, 0)
-        load_b = POLoad("/data/d1", None, 0)
-        join = SkeletonOp("join", "JOIN[k]", None, [load_a, load_b])
-        probe = PhysicalPlan([POStore(join, "/out/j")])
-        assert [e.output_path for e in threaded.match_candidates(probe)] \
-            == [e.output_path for e in serial.match_candidates(probe)]
-        threaded.close()
-        threaded.close()  # idempotent
-
-    def test_custom_executor_object(self):
-        calls = []
-
-        class Recorder(SerialExecutor):
-            def map(self, fn, items):
-                calls.append(len(items))
-                return super().map(fn, items)
-
-        repo = ShardedRepository(num_shards=4, executor=Recorder())
-        for index in range(8):
-            repo.insert(_entry(index, path=f"/data/d{index % 4}"))
-        probe = _chain_plan(0, "/data/d0", extra_op="probe")
-        repo.match_candidates(probe)
-        assert calls  # the pluggable executor actually ran the probes
-
-    def test_thread_executor_single_shard_skips_pool(self):
-        executor = ThreadPoolProbeExecutor()
-        assert executor.map(lambda x: x + 1, [41]) == [42]
-        assert executor._pool is None  # no pool spun up for one item
-        executor.close()
-
-
-def _twin_repositories(num_shards=4, count=20, paths=6):
-    """A serial and a process-backed repository holding identical
-    entries (same paths, same stats) — the lock-step fixture every
-    worker-pool parity test drives."""
-    serial = ShardedRepository(num_shards=num_shards, executor="serial")
-    procs = ShardedRepository(num_shards=num_shards, executor="processes")
-    for index in range(count):
-        path = f"/data/d{index % paths}"
-        serial.insert(_entry(index, path))
-        procs.insert(_entry(index, path))
-    return serial, procs
-
-
-def _assert_probe_parity(serial, procs, paths=6, tag="probe"):
-    """Probe every load key on both repositories and require identical
-    candidate sequences (output paths, in order)."""
-    for index in range(paths):
-        probe = _chain_plan(1000 + index, f"/data/d{index}", extra_op=tag)
-        assert [e.output_path for e in procs.match_candidates(probe)] \
-            == [e.output_path for e in serial.match_candidates(probe)]
-
-
-def _stats_by_shard(repository):
-    return {shard.shard_id: (shard.stats.probes,
-                             shard.stats.candidates_returned,
-                             shard.stats.occupancy)
-            for shard in repository.partitions()}
-
-
-class TestWorkerProcesses:
-    """The ``executor="processes"`` flavor: worker-process replicas
-    behind the routing front-end (``repro.restore.service``)."""
-
-    def test_worker_pool_matches_serial(self):
-        serial, procs = _twin_repositories(num_shards=8, count=40, paths=5)
-        try:
-            # Multi-load probe: fans out to several workers at once.
-            load_a = POLoad("/data/d0", None, 0)
-            load_b = POLoad("/data/d1", None, 0)
-            join = SkeletonOp("join", "JOIN[k]", None, [load_a, load_b])
-            probe = PhysicalPlan([POStore(join, "/out/j")])
-            assert [e.output_path for e in procs.match_candidates(probe)] \
-                == [e.output_path for e in serial.match_candidates(probe)]
-            _assert_probe_parity(serial, procs, paths=5)
-            # The front-end credits per-shard statistics exactly as the
-            # in-process probes would, so reports are executor-blind.
-            assert _stats_by_shard(procs) == _stats_by_shard(serial)
-            assert procs.worker_pool is not None
-            assert "worker" in procs.worker_pool.describe()
-        finally:
-            procs.close()
-            procs.close()  # idempotent
-            serial.close()
-
-    def test_removal_reaches_the_worker_replica(self):
-        serial, procs = _twin_repositories(num_shards=4, count=12, paths=3)
-        try:
-            victim_path = procs.scan()[0].output_path
-            for repo in (serial, procs):
-                victim = next(e for e in repo.scan()
-                              if e.output_path == victim_path)
-                repo.remove(victim)
-            _assert_probe_parity(serial, procs, paths=3, tag="after-remove")
-        finally:
-            procs.close()
-            serial.close()
-
-    def test_batch_probe_matches_per_plan_calls(self):
-        serial, procs = _twin_repositories(num_shards=4, count=18, paths=4)
-        try:
-            plans = [_chain_plan(2000 + index, f"/data/d{index % 4}",
-                                 extra_op="batch")
-                     for index in range(9)]
-            # An unkeyable plan inside the batch exercises the full-scan
-            # fallback lane alongside the pooled probes.
-            foreign = SkeletonOp("load", "FOREIGN[b]", None, [])
-            chain = SkeletonOp("filter", "FILTER[b]", None, [foreign])
-            plans.append(PhysicalPlan([POStore(chain, "/out/b")]))
-            batched = procs.match_candidates_batch(plans)
-            singly = [serial.match_candidates(plan) for plan in plans]
-            assert [[e.output_path for e in candidates]
-                    for candidates in batched] \
-                == [[e.output_path for e in candidates]
-                    for candidates in singly]
-            # Logical probes count once per plan on both sides; the
-            # serial fallback of the batch API agrees too.
-            assert procs._logical_probes == serial._logical_probes
-            assert [[e.output_path for e in candidates] for candidates in
-                    serial.match_candidates_batch(plans)] \
-                == [[e.output_path for e in candidates]
-                    for candidates in singly]
-        finally:
-            procs.close()
-            serial.close()
-
-    def test_worker_crash_recovers_from_memory(self):
-        serial, procs = _twin_repositories(num_shards=2, count=10, paths=3)
-        try:
-            _assert_probe_parity(serial, procs, paths=3, tag="warm")
-            pool = procs.worker_pool
-            shard_id = next(iter(pool._workers))
-            pool._workers[shard_id].process.kill()
-            pool._workers[shard_id].process.join()
-            # No RepositoryLog attached: the fresh worker re-seeds from
-            # the front-end's in-memory members.
-            _assert_probe_parity(serial, procs, paths=3, tag="post-kill")
-            assert pool.recoveries == 1
-            assert _stats_by_shard(procs) == _stats_by_shard(serial)
-        finally:
-            procs.close()
-            serial.close()
-
-    def test_worker_crash_replays_durable_partition(self):
-        # Satellite: kill one shard worker mid-stream — through the
-        # deterministic FaultSchedule, so the crash lands at a fixed
-        # point of the message stream rather than a line of test code —
-        # and prove the front-end replays that partition's durable
-        # section + segment into the fresh worker: scan order, per-shard
-        # stats, and match decisions bit-identical to the serial twin.
-        dfs = make_dfs()
-        serial, procs = _twin_repositories(num_shards=2, count=8, paths=3)
-        log = RepositoryLog(dfs)
-        log.attach(procs)
-        try:
-            log.compact()  # sections exist; later inserts live in segments
-            for index in range(8, 14):
-                path = f"/data/d{index % 3}"
-                serial.insert(_entry(index, path))
-                procs.insert(_entry(index, path))
-            _assert_probe_parity(serial, procs, paths=3, tag="mid-stream")
-
-            pool = procs.worker_pool
-            shard_id = next(iter(pool._workers))
-
-            replays = []
-            durable_snapshot = log.partition_snapshot
-
-            def spying_snapshot(requested_shard):
-                replays.append(requested_shard)
-                return durable_snapshot(requested_shard)
-
-            log.partition_snapshot = spying_snapshot
-            # The victim dies as its next message is sent: the probe
-            # dispatch observes the crash mid-stream and recovers.
-            with FaultSchedule([(shard_id, 1)], pool=pool) as schedule:
-                _assert_probe_parity(serial, procs, paths=3, tag="post-kill")
-            assert [kill[:2] for kill in schedule.killed] == [(shard_id, 0)]
-            assert not schedule.pending
-            assert pool.recoveries == 1
-            assert replays == [shard_id]  # re-seeded from durable state
-            assert log.snapshot_reads == 1
-            # The replica rebuilt from section + segment holds exactly
-            # the partition's live membership.
-            assert pool.worker_size(shard_id) \
-                == len(procs.shard_members(shard_id))
-            assert [e.output_path for e in procs.scan()] \
-                == [e.output_path for e in serial.scan()]
-            assert _stats_by_shard(procs) == _stats_by_shard(serial)
-        finally:
-            log.close()
-            procs.close()
-            serial.close()
-
-    def test_shard_worker_state_unit(self):
-        # The worker's in-process core, driven without multiprocessing.
-        state = ShardWorkerState()
-        entries = [_entry(index, f"/data/d{index % 2}") for index in range(4)]
-        state.apply([("add", entry.entry_id, entry_to_json(entry))
-                     for entry in entries])
-        assert len(state) == 4
-        keys = state.probe(frozenset({("/data/d0", 0)}))
-        assert set(keys) == {entry.entry_id for entry in entries
-                             if entry.output_path.endswith(("0", "2"))}
-        state.apply([("discard", entries[0].entry_id)])
-        assert len(state) == 3
-        assert entries[0].entry_id not in state.probe(
-            frozenset({("/data/d0", 0)}))
-        batch = state.probe_batch([(7, frozenset({("/data/d1", 0)})),
-                                   (9, frozenset())])
-        assert [probe_id for probe_id, _ in batch] == [7, 9]
-        assert set(batch[0][1]) == {entries[1].entry_id,
-                                    entries[3].entry_id}
-        assert batch[1][1] == []
-
-    def test_pool_rejects_map_and_rebind(self):
-        repo = ShardedRepository(num_shards=2, executor="processes")
-        try:
-            pool = repo.worker_pool
-            with pytest.raises(RepositoryError, match="routes probes"):
-                pool.map(lambda x: x, [1, 2])
-            other = ShardedRepository(num_shards=2)
-            with pytest.raises(RepositoryError, match="already bound"):
-                pool.bind(other)
-            pool.bind(repo)  # re-binding the same front-end is fine
-            other.close()
-        finally:
-            repo.close()
-
-    def test_repository_service_lifecycle(self):
-        dfs = make_dfs()
-        with RepositoryService(num_shards=2,
-                               persistence=RepositoryLog(dfs)) as service:
-            for index in range(6):
-                service.insert(_entry(index, f"/data/d{index % 2}"))
-            probe = _chain_plan(100, "/data/d0", extra_op="svc")
-            candidates = service.match_candidates(probe)
-            assert candidates
-            [batched] = service.match_candidates_batch([probe])
-            assert [e.output_path for e in batched] \
-                == [e.output_path for e in candidates]
-            assert service.find_equivalent(
-                service.repository.scan()[0].plan) is not None
-            assert "worker" in service.describe()
-        # close() flushed the log: a fresh load sees every insert.
-        from repro.restore import load_repository
-        reloaded = load_repository(dfs)
-        assert len(reloaded) == 6
-
-    def test_repository_service_requires_process_backing(self):
-        repo = ShardedRepository(num_shards=2)  # serial executor
-        with pytest.raises(RepositoryError, match="process-backed"):
-            RepositoryService(repository=repo)
-        repo.close()
-
-    def test_manager_runs_on_worker_processes(self):
-        results = {}
-        for label, repository in (
-                ("plain", Repository()),
-                ("processes", ShardedRepository(num_shards=4,
-                                                executor="processes"))):
-            system = pigmix_system()
-            restore = system.restore(repository=repository)
-            restore.submit(system.compile(Q1_TEXT))
-            restore.submit(system.compile(Q2_TEXT))
-            results[label] = {
-                "rewrites": restore.last_report.num_rewrites,
-                "counters": restore.last_report.match_counters.as_dict(),
-                "entries": len(repository),
-                "output": system.dfs.read_lines("/out/L3_out"),
-            }
-            restore.close()
-        assert results["plain"] == results["processes"]
-        assert results["processes"]["rewrites"] >= 1
 
 
 class TestShardStats:

@@ -3,7 +3,6 @@ repository log (per-shard segments + dirty-only compaction), and
 crash-safe replay (PR 4, segmented in PR 5)."""
 
 import json
-import threading
 
 import pytest
 
@@ -248,8 +247,6 @@ class TestRepositoryLogBasics:
             log.checkpoint()
         with pytest.raises(RepositoryError, match="not attached"):
             log.compact()
-        with pytest.raises(RepositoryError, match="not attached"):
-            log.partition_snapshot(None)
 
     def test_unkeyed_events_write_no_record_and_burn_no_seq(self):
         dfs = DistributedFileSystem()
@@ -617,75 +614,6 @@ class TestDirtyOnlyCompaction:
         assert on_disk == referenced  # no orphan generations left behind
 
 
-class TestSnapshotCompactionBarrier:
-    def test_concurrent_snapshot_during_compact(self):
-        """``partition_snapshot`` holds the log mutex for its whole read
-        — the mutex *is* the compaction barrier (worker re-seeds race
-        checkpoints in the process-backed pools). A barrier-less read
-        could catch compaction's window between the manifest swap and
-        the segment truncation/GC: a superseded section file already
-        deleted (keys vanish) or a pending buffer popped before its
-        records are subsumed durably (use counts regress). Hammer
-        snapshots from a thread through many use-stamp/compact rounds:
-        every observed snapshot must hold the full key set with
-        monotonically non-decreasing use counts."""
-        dfs = DistributedFileSystem()
-        live = ShardedRepository(num_shards=2)
-        entries = [fabricated_entry(index) for index in range(10)]
-        for entry in entries:
-            live.insert(entry)
-        log = RepositoryLog(dfs).attach(live)
-        try:
-            sizes = live.shard_sizes()
-            shard_id = max(sizes, key=lambda sid: sizes[sid])
-            expected_keys = set(log.partition_snapshot(shard_id))
-            assert expected_keys
-            failures = []
-            stop = threading.Event()
-
-            def hammer():
-                last_counts = {}
-                while not stop.is_set():
-                    try:
-                        snapshot = log.partition_snapshot(shard_id)
-                    except Exception as error:
-                        failures.append(("raised", repr(error)))
-                        return
-                    if set(snapshot) != expected_keys:
-                        failures.append(("keys", set(snapshot)))
-                        return
-                    for key, entry_json in snapshot.items():
-                        count = entry_json["stats"]["use_count"]
-                        if count < last_counts.get(key, 0):
-                            failures.append(("regressed", key, count,
-                                             last_counts[key]))
-                            return
-                        last_counts[key] = count
-
-            thread = threading.Thread(target=hammer)
-            thread.start()
-            tick = 0
-            rounds = 30
-            try:
-                for _ in range(rounds):
-                    for entry in entries:
-                        tick += 1
-                        live.record_use(entry, tick)
-                    log.compact()
-            finally:
-                stop.set()
-                thread.join(timeout=30.0)
-            assert not thread.is_alive()
-            assert not failures, failures[0]
-            final = log.partition_snapshot(shard_id)
-            assert set(final) == expected_keys
-            assert all(entry_json["stats"]["use_count"] == rounds
-                       for entry_json in final.values())
-        finally:
-            log.close()
-            live.close()
-
-
 class TestOrderDeltaManifests:
     """The v5 enabler: dirty-only compaction records a scan-order
     *delta* in the order log instead of rewriting the full global order
@@ -715,18 +643,18 @@ class TestOrderDeltaManifests:
         delta = records_after[-1]
         assert "full" not in delta
         assert delta["removed"] == []
-        new_key = log.stable_keys()[inserted.entry_id]
+        new_key = log._keys[inserted.entry_id]
         assert [item[0] for item in delta["inserted"]] == [new_key]
         # The reconstructed lineage equals the live scan order exactly.
         assert [key for key, _ in recorded_order_of(dfs)] == \
-            [log.stable_keys()[e.entry_id] for e in live.scan()]
+            [log._keys[e.entry_id] for e in live.scan()]
         reloaded = load_repository(dfs)
         assert entry_fingerprints(reloaded) == entry_fingerprints(live)
 
     def test_removal_expressed_as_delta(self):
         dfs, live, log = self._sharded_state()
         victim = live.scan()[3]
-        victim_key = log.stable_keys()[victim.entry_id]
+        victim_key = log._keys[victim.entry_id]
         target = live.shard_id_of(victim)
         live.remove(victim)
         log.compact([shard_label(target)])
@@ -1520,15 +1448,6 @@ class TestManagerIntegration:
         assert log.pending_records == 0
         assert entry_fingerprints(load_repository(system.dfs)) == \
             entry_fingerprints(restore.repository)
-
-    def test_manager_close_releases_repository_executor(self):
-        system = pigmix_system()
-        repository = ShardedRepository(num_shards=4, executor="threads")
-        restore = system.restore(repository=repository)
-        restore.submit(system.compile(Q1_TEXT))
-        restore.submit(system.compile(Q2_TEXT))
-        restore.close()
-        assert repository._executor._pool is None  # thread pool shut down
 
     def test_checkpoint_every_knob(self):
         system = pigmix_system()

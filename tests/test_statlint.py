@@ -26,7 +26,6 @@ from repro.tools.statlint.__main__ import main
 from repro.tools.statlint.core import load_project
 from repro.tools.statlint.crashorder import CrashOrdering
 from repro.tools.statlint.exceptions import ExceptionHygiene
-from repro.tools.statlint.forksafety import ForkSafety
 from repro.tools.statlint.locks import LockDiscipline, LockOrdering
 
 
@@ -136,13 +135,13 @@ class TestLockDiscipline:
         assert findings == []
 
     def test_dotted_lock_spec(self):
-        # The manager's `_kept_paths` is guarded by `_ingest.lock`.
+        # A field guarded by a lock reached through another attribute.
         findings = _run(LockDiscipline, _mod('''
             class Manager:
-                GUARDED_BY = {"_kept": "_ingest.lock"}
+                GUARDED_BY = {"_kept": "_owner.lock"}
 
                 def keep(self, path):
-                    with self._ingest.lock:
+                    with self._owner.lock:
                         self._kept.add(path)
 
                 def leak(self, path):
@@ -304,180 +303,6 @@ class TestLockOrdering:
 
 
 # ---------------------------------------------------------------------------
-# fork-safety
-
-
-class TestForkSafety:
-    def test_threading_reachable_from_marked_entrypoint(self):
-        findings = _run(ForkSafety, _mod('''
-            import threading
-
-            def _worker_main(requests):  # statlint: process-entrypoint
-                pump = threading.Thread(target=print)
-                pump.start()
-        '''))
-        assert len(findings) == 1
-        assert "threading.Thread" in findings[0].message
-        assert "_worker_main" in findings[0].message
-
-    def test_front_end_attr_via_process_target_and_typed_call(self):
-        # Roots come from Process(target=...), and `state.probe()`
-        # resolves because `state = WorkerState()` names the class.
-        findings = _run(ForkSafety, _mod('''
-            from multiprocessing import get_context
-
-            class WorkerState:
-                def probe(self):
-                    return self._repository.scan()
-
-            def worker_loop(requests):
-                state = WorkerState()
-                state.probe()
-
-            def spawn():
-                ctx = get_context("fork")
-                return ctx.Process(target=worker_loop, args=(None,))
-        '''))
-        assert len(findings) == 1
-        assert "self._repository" in findings[0].message
-        assert "worker_loop" in findings[0].message
-
-    def test_lambda_process_target_flagged(self):
-        findings = _run(ForkSafety, _mod('''
-            import multiprocessing
-
-            def spawn(state):
-                return multiprocessing.Process(target=lambda: state.run())
-        '''))
-        assert len(findings) == 1
-        assert "lambda" in findings[0].message
-
-    def test_bound_method_process_target_flagged(self):
-        findings = _run(ForkSafety, _mod('''
-            import multiprocessing
-
-            class Pool:
-                def spawn(self):
-                    return multiprocessing.Process(target=self._loop)
-
-                def _loop(self):
-                    pass
-        '''))
-        assert len(findings) == 1
-        assert "bound method" in findings[0].message
-
-    def test_unreachable_threading_clean(self):
-        # The front-end may create threads freely; only worker-reachable
-        # code is constrained.
-        findings = _run(ForkSafety, _mod('''
-            import threading
-
-            def _worker_main(requests):  # statlint: process-entrypoint
-                return requests.get()
-
-            class FrontEnd:
-                def start(self):
-                    self._pump = threading.Thread(target=print)
-        '''))
-        assert findings == []
-
-    def test_worker_owning_its_state_clean(self):
-        findings = _run(ForkSafety, _mod('''
-            class WorkerState:
-                def __init__(self):
-                    self._entries = {}
-
-                def apply(self, record):
-                    self._entries[record.key] = record
-
-            def _worker_main(requests):  # statlint: process-entrypoint
-                state = WorkerState()
-                state.apply(requests.get())
-        '''))
-        assert findings == []
-
-    # Worker-owned durability semantics: a worker may *write* durable
-    # files, but only through a gateway client — the real DFS handle
-    # (`self.dfs`) is an in-process object whose forked copy is private
-    # memory, so touching it from worker-reachable code is a write into
-    # the void.
-
-    def test_real_dfs_handle_reachable_from_worker_flagged(self):
-        findings = _run(ForkSafety, _mod('''
-            class WorkerState:
-                def flush(self, segment, lines):
-                    self.dfs.append_lines(segment, lines)
-
-            def _worker_main(requests):  # statlint: process-entrypoint
-                state = WorkerState()
-                state.flush(*requests.get())
-        '''))
-        assert len(findings) == 1
-        assert "self.dfs" in findings[0].message
-        assert "_worker_main" in findings[0].message
-
-    def test_gateway_holding_dfs_in_worker_helper_flagged(self):
-        # Even read-shaped access counts: the handle itself is parent
-        # state, whatever the worker does with it.
-        findings = _run(ForkSafety, _mod('''
-            class Gateway:
-                def describe(self):
-                    return repr(self.dfs)
-
-            def _worker_main(requests):  # statlint: process-entrypoint
-                gateway = Gateway()
-                gateway.describe()
-        '''))
-        assert len(findings) == 1
-        assert "self.dfs" in findings[0].message
-
-    def test_gateway_client_write_path_in_worker_clean(self):
-        # The sanctioned shape: the worker writes through a queue-backed
-        # client; no DFS handle, no threads, nothing fork-hostile.
-        findings = _run(ForkSafety, _mod('''
-            class DfsClient:
-                def __init__(self, requests, replies):
-                    self._requests = requests
-                    self._replies = replies
-
-                def append_lines(self, target, lines):
-                    self._requests.put(("append_lines", target, lines))
-                    return self._replies.get()
-
-            class WorkerState:
-                def __init__(self, durable):
-                    self._durable = durable
-
-                def flush(self, segment, lines):
-                    self._durable.append_lines(segment, lines)
-
-            def _worker_main(requests, replies):  # statlint: process-entrypoint
-                state = WorkerState(DfsClient(requests, replies))
-                state.flush("seg", ["r"])
-        '''))
-        assert findings == []
-
-    def test_front_end_pump_owning_real_dfs_clean(self):
-        # The gateway's front-end half holds the real DFS and a pump
-        # thread — legal, because no worker entrypoint reaches it.
-        findings = _run(ForkSafety, _mod('''
-            import threading
-
-            class Gateway:
-                def __init__(self, dfs):
-                    self.dfs = dfs
-                    self._pump = threading.Thread(target=self._run)
-
-                def _run(self):
-                    self.dfs.append_lines("seg", ["r"])
-
-            def _worker_main(requests):  # statlint: process-entrypoint
-                return requests.get()
-        '''))
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # crash-ordering
 
 
@@ -552,58 +377,6 @@ class TestCrashOrdering:
         ''', relpath="filesystem.py"))
         assert findings == []
 
-    # R5 — worker modules may write segments and sections but never the
-    # manifest: the swap is the front-end coordination point.
-
-    def test_manifest_write_in_worker_module_flagged(self):
-        findings = _run(CrashOrdering, _mod('''
-            class WorkerState:
-                def publish(self, path):
-                    self.client.write_lines(path, ["m"], overwrite=True)
-        ''', relpath="service.py"))
-        assert len(findings) == 1
-        assert "worker-side module" in findings[0].message
-        assert "front-end" in findings[0].message
-
-    def test_manifest_delete_in_gateway_flagged(self):
-        # Deletes count too — a worker un-publishing the manifest is as
-        # illegal as publishing it.
-        findings = _run(CrashOrdering, _mod('''
-            class Gateway:
-                def reset(self):
-                    self.dfs.delete_if_exists(self.path)
-        ''', relpath="gateway.py"))
-        assert len(findings) == 1
-        assert "worker-side module" in findings[0].message
-
-    def test_worker_segment_and_section_writes_clean(self):
-        # The sanctioned worker writes: its own segment tail append and
-        # its own generation-named section rewrite.
-        findings = _run(CrashOrdering, _mod('''
-            class WorkerState:
-                def flush(self, segment_lines):
-                    segment = segment_file_path(self.root, 0)
-                    self.client.append_lines(segment, segment_lines)
-
-                def compact(self, section_lines):
-                    section = section_file_path(self.root, 0, 7)
-                    self.client.write_lines(section, section_lines,
-                                            overwrite=True)
-        ''', relpath="service.py"))
-        assert findings == []
-
-    def test_unclassified_targets_in_worker_module_clean(self):
-        # Variables the classifier cannot tie to the manifest (message
-        # payload fields, plain locals) are not R5's business — only the
-        # manifest category is front-end-only.
-        findings = _run(CrashOrdering, _mod('''
-            class WorkerState:
-                def flush(self, payload):
-                    target = payload["segment"]
-                    self.client.append_lines(target, payload["lines"])
-        ''', relpath="replication.py"))
-        assert findings == []
-
 
 # ---------------------------------------------------------------------------
 # exception-hygiene
@@ -632,18 +405,6 @@ class TestExceptionHygiene:
         assert len(findings) == 1
         assert "without a 'raise'" in findings[0].message
 
-    def test_worker_crashed_swallowed_flagged(self):
-        findings = _run(ExceptionHygiene, _mod('''
-            def flush(shards):
-                for shard in shards:
-                    try:
-                        shard.flush()
-                    except WorkerCrashed:
-                        continue
-        '''))
-        assert len(findings) == 1
-        assert "WorkerCrashed" in findings[0].message
-
     def test_base_exception_with_reraise_clean(self):
         findings = _run(ExceptionHygiene, _mod('''
             def drain():
@@ -662,17 +423,6 @@ class TestExceptionHygiene:
                     work()
                 except (ValueError, Exception) as exc:
                     log(exc)
-        '''))
-        assert findings == []
-
-    def test_worker_crashed_recovered_clean(self):
-        findings = _run(ExceptionHygiene, _mod('''
-            def flush(shards):
-                for shard in shards:
-                    try:
-                        shard.flush()
-                    except WorkerCrashed:
-                        shard.recover()
         '''))
         assert findings == []
 
@@ -862,7 +612,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("lock-discipline", "lock-ordering", "fork-safety",
+        for rule in ("lock-discipline", "lock-ordering",
                      "crash-ordering", "exception-hygiene",
                      "suppression-hygiene"):
             assert rule in out
@@ -877,23 +627,18 @@ class TestCli:
 
 
 class TestRegistry:
-    def test_all_five_checkers_registered(self):
-        assert set(rule_ids()) >= {"lock-discipline", "lock-ordering",
-                                   "fork-safety", "crash-ordering",
-                                   "exception-hygiene",
+    def test_all_four_checkers_registered(self):
+        assert set(rule_ids()) == {"lock-discipline", "lock-ordering",
+                                   "crash-ordering", "exception-hygiene",
                                    "suppression-hygiene"}
 
     def test_real_annotations_are_parsed(self):
-        # Guard against vacuous passes: the shipped GUARDED_BY maps and
-        # the worker entrypoint marker must actually be visible to the
-        # checkers.
+        # Guard against vacuous passes: the shipped GUARDED_BY map must
+        # actually be visible to the checkers.
         import repro
         src = repro.__file__.rsplit("/", 2)[0]
         project, errors = load_project([src])
         assert errors == []
-        ingest = [m for m in project.modules
-                  if m.relpath.endswith("restore/ingest.py")][0]
-        service = [m for m in project.modules
-                   if m.relpath.endswith("restore/service.py")][0]
-        assert "GUARDED_BY" in ingest.text
-        assert service.entrypoint_lines
+        wal = [m for m in project.modules
+               if m.relpath.endswith("restore/wal.py")][0]
+        assert "GUARDED_BY" in wal.text
