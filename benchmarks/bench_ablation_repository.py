@@ -1,4 +1,4 @@
-"""Ablations beyond the paper's figures (design choices in DESIGN.md):
+"""Ablations beyond the paper's figures (design in docs/ARCHITECTURE.md):
 
 * matcher cost as the repository grows (ReStore scans sequentially, so
   matching is linear in repository size — Section 5 motivates eviction
@@ -16,16 +16,9 @@
 * **incremental persistence** (PR 4): per-checkpoint cost of the full
   ``save_repository`` rewrite (O(repository)) vs the append-only
   ``RepositoryLog`` (O(delta)) at 1000 entries under a steady stream of
-  small deltas — with the replayed state verified bit-identical;
-* **segmented persistence** (PR 5, v5 order-delta manifests in PR 6):
-  dirty-only compaction vs whole-repository compaction at 1000 entries
-  across 8 shards with mutations confined to one shard — only the dirty
-  shard's snapshot section is rewritten, only its segment truncated,
-  and only a scan-order *delta* appended (O(dirty shards), bar ≥3x),
-  replay verified bit-identical.
+  small deltas — with the replayed state verified bit-identical.
 """
 
-import json
 import time
 
 import pytest
@@ -475,7 +468,7 @@ def test_ranking_savings_never_loses_to_structural(benchmark, record_experiment)
 
 # --- Incremental persistence: append-only log vs full rewrite (PR 4) ----------
 #
-# The steady-state checkpoint scenario the v3 format exists for: a
+# The steady-state checkpoint scenario the change log exists for: a
 # repository of 1000 entries, mutated by a small delta (2 inserts + 1
 # use-stamp) between checkpoints. The full-rewrite arm re-serializes all
 # ~1000 entries every time; the incremental arm appends 3 records. Both
@@ -549,11 +542,11 @@ def test_incremental_checkpoint_beats_full_rewrite(benchmark, record_experiment)
         f"({_PERSIST_INSERTS_PER_ROUND} inserts + 1 use-stamp per delta)",
         ["arm", "total_s", "per_checkpoint_s", "speedup"],
         [
-            {"arm": "full-rewrite (v1 save_repository)",
+            {"arm": "full-rewrite (save_repository snapshot)",
              "total_s": round(timings["full"], 6),
              "per_checkpoint_s": round(per_checkpoint["full"], 6),
              "speedup": 1.0},
-            {"arm": "incremental (v3 RepositoryLog)",
+            {"arm": "incremental (RepositoryLog snapshot + log)",
              "total_s": round(timings["incremental"], 6),
              "per_checkpoint_s": round(per_checkpoint["incremental"], 6),
              "speedup": round(speedup, 1)},
@@ -569,158 +562,6 @@ def test_incremental_checkpoint_beats_full_rewrite(benchmark, record_experiment)
         f"rewrite at {_PERSIST_SIZE} entries, got {speedup:.1f}x "
         f"(full {timings['full']:.4f}s, "
         f"incremental {timings['incremental']:.4f}s)"
-    )
-
-
-# --- Segmented persistence: dirty-only vs whole-repository compaction (PR 5) ---
-#
-# The steady-state compaction scenario the v4 format exists for: a
-# 1000-entry repository partitioned across 8 shards, with a mutation
-# burst confined to a single shard. The dirty-only arm compacts just
-# that shard (one section rewrite + one segment truncation + the
-# keys-only manifest line); the full arm re-serializes every section.
-# Both arms are driven from identical twin states, and the dirty twin's
-# durability is verified by reloading manifest+sections+segments.
-
-_SEGMENTED_SIZE = 1000
-_SEGMENTED_SHARDS = 8
-_SEGMENTED_STAMPS = 400
-
-
-@pytest.mark.benchmark(group="ablation-segmented-persistence")
-def test_segmented_compaction_is_dirty_only(benchmark, record_experiment):
-    """The acceptance bar for PR 5: with 8 shards and mutations confined
-    to one shard, ``compact()`` rewrites only that shard's snapshot
-    section and truncates only its segment — >=3x cheaper than
-    compacting the whole repository."""
-    from repro.restore.persistence import (
-        DEFAULT_REPOSITORY_PATH,
-        section_file_prefix,
-        shard_label,
-    )
-
-    pool_size = max(4, _SEGMENTED_SIZE // 10)
-
-    def build():
-        dfs = DistributedFileSystem()
-        repository = ShardedRepository(num_shards=_SEGMENTED_SHARDS)
-        for index in range(_SEGMENTED_SIZE):
-            entry, _ = _entry_pair(index, pool_size)
-            repository.insert(entry)
-        # The initial full snapshot (untimed) seeds every section.
-        log = RepositoryLog(dfs).attach(repository)
-        return dfs, repository, log
-
-    dirty_dfs, dirty_repo, dirty_log = build()
-    full_dfs, full_repo, full_log = build()
-    # Both twins share the layout (placement is a pure load-key hash).
-    target = dirty_repo.shard_id_of(dirty_repo.scan()[0])
-    target_label = shard_label(target)
-
-    def stamp_one_shard(repository, log):
-        victims = [entry for entry in repository.scan()
-                   if repository.shard_id_of(entry) == target]
-        for tick in range(_SEGMENTED_STAMPS):
-            repository.record_use(victims[tick % len(victims)], tick + 1)
-        log.flush()
-
-    stamp_one_shard(dirty_repo, dirty_log)
-    stamp_one_shard(full_repo, full_log)
-    assert dirty_log.dirty_shards() == [target_label]
-
-    section_prefix = section_file_prefix(DEFAULT_REPOSITORY_PATH)
-    sections_before = {file: dirty_dfs.status(file).version
-                       for file in dirty_dfs.list_files(prefix=section_prefix)}
-    segments_before = {file: dirty_dfs.status(file).version
-                       for file in dirty_dfs.list_files(
-                           prefix=f"{dirty_log.log_path}.")}
-
-    def measure():
-        timings = {}
-        timings["dirty_only"], compacted = _timed(
-            lambda: dirty_log.compact(dirty_log.dirty_shards()))
-        assert compacted == [target_label]
-        timings["full"], _ = _timed(full_log.compact)
-        return timings
-
-    timings = benchmark.pedantic(measure, rounds=1, iterations=1)
-
-    # Only the dirty shard's section was rewritten: every clean section
-    # is the same file at the same version, and the one replaced file
-    # belongs to the target shard.
-    sections_after = {file: dirty_dfs.status(file).version
-                      for file in dirty_dfs.list_files(prefix=section_prefix)}
-    replaced = set(sections_before) ^ set(sections_after)
-    assert {file.split(".sec-")[1].split(".g")[0] for file in replaced} \
-        == {target_label}
-    for file in set(sections_before) & set(sections_after):
-        assert sections_before[file] == sections_after[file]
-    # Only the dirty shard's segment was truncated.
-    for file, version in segments_before.items():
-        if file == dirty_log.segment_path(target):
-            assert dirty_dfs.read_lines(file) == []
-        else:
-            assert dirty_dfs.status(file).version == version
-    # Durability: the dirty-only twin replays bit-identical state.
-    reloaded = load_repository(dirty_dfs)
-    for twin in (dirty_repo, full_repo):
-        assert [(e.output_path, e.stats.use_count, e.stats.last_used_tick)
-                for e in reloaded.scan()] == \
-            [(e.output_path, e.stats.use_count, e.stats.last_used_tick)
-             for e in twin.scan()]
-
-    # v5 order-delta manifests: the dirty-only compaction's manifest
-    # write is O(dirty shards) — the global order is NOT re-embedded or
-    # rewritten. Use-stamps change no scan position, so the appended
-    # delta record is empty, however many entries the repository holds;
-    # the full arm's rebase re-records all _SEGMENTED_SIZE pairs.
-    manifest = json.loads(
-        dirty_dfs.read_lines(DEFAULT_REPOSITORY_PATH)[0])
-    assert "order" not in manifest
-    order_records = [json.loads(line)
-                     for line in dirty_dfs.read_lines(manifest["order_log"])]
-    delta = order_records[-1]
-    assert "full" not in delta
-    assert delta["removed"] == [] and delta["inserted"] == []
-    full_manifest = json.loads(
-        full_dfs.read_lines(DEFAULT_REPOSITORY_PATH)[0])
-    [full_record] = [json.loads(line) for line in
-                     full_dfs.read_lines(full_manifest["order_log"])]
-    assert len(full_record["full"]) == _SEGMENTED_SIZE
-    delta_bytes = len(json.dumps(delta))
-    full_bytes = len(json.dumps(full_record))
-    assert delta_bytes * 10 < full_bytes  # O(changes), not O(repository)
-
-    speedup = timings["full"] / max(timings["dirty_only"], 1e-9)
-    record_experiment(ExperimentResult(
-        "ablation_segmented_persistence",
-        f"Dirty-only vs whole-repository compaction at {_SEGMENTED_SIZE} "
-        f"entries across {_SEGMENTED_SHARDS} shards "
-        f"({_SEGMENTED_STAMPS} use-stamps confined to shard "
-        f"{target_label})",
-        ["arm", "seconds", "sections_rewritten", "speedup"],
-        [
-            {"arm": "full compaction (every section)",
-             "seconds": round(timings["full"], 6),
-             "sections_rewritten": _SEGMENTED_SHARDS,
-             "speedup": 1.0},
-            {"arm": "dirty-only (v5 order-delta RepositoryLog)",
-             "seconds": round(timings["dirty_only"], 6),
-             "sections_rewritten": 1,
-             "speedup": round(speedup, 1)},
-        ],
-        notes=[
-            "steady-state compaction cost is O(dirty shards), not "
-            "O(repository)",
-            f"dirty-only vs full compaction: {speedup:.1f}x "
-            f"(acceptance bar: >=3x)",
-        ],
-    ))
-    assert speedup >= 3.0, (
-        f"dirty-only compaction must be >=3x cheaper than the full "
-        f"rewrite when 1 of {_SEGMENTED_SHARDS} shards is dirty, got "
-        f"{speedup:.1f}x (full {timings['full']:.4f}s, "
-        f"dirty-only {timings['dirty_only']:.4f}s)"
     )
 
 

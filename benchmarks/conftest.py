@@ -1,4 +1,5 @@
-"""Shared benchmark fixtures: result recording for EXPERIMENTS.md."""
+"""Shared benchmark fixtures: result recording under ``benchmarks/results/``
+(indexed by README.md's benchmark-figure index)."""
 
 import json
 import os

@@ -16,11 +16,12 @@ candidate ranker (the matcher tries candidates
 best-estimated-savings-first, the report's ranking ledger shows
 estimated vs realized savings per rewrite, and the ranker choice is
 recorded in the persisted repository's manifest), and finishes with
-segmented persistence: a manager wired to a RepositoryLog checkpoints
-O(delta) change records per submit into per-shard segment files, a
-restart replays manifest+sections+segments into the exact same
-repository, and a mutation burst confined to one shard compacts only
-that shard's snapshot section (printed file listing before/after).
+incremental persistence: a manager wired to a RepositoryLog checkpoints
+O(delta) change records per submit into one append-only log next to the
+snapshot, a restart replays snapshot+log into the exact same repository
+(even into a repository with a different shard count), and a
+compaction swaps in a fresh snapshot and truncates the log (printed
+file listing before/after).
 
 Run:  python examples/repository_management.py
 """
@@ -32,6 +33,7 @@ from repro.restore import (
     HeuristicRetentionPolicy,
     KeepEverythingPolicy,
     load_repository,
+    Repository,
     RepositoryLog,
     save_repository,
     ShardedRepository,
@@ -125,8 +127,8 @@ def main():
         print(f"persisted manifest records ranker="
               f"{reloaded.manifest_metadata.get('ranker')!r}")
 
-    print("\n=== segmented persistence: O(delta) checkpoints, "
-          "O(dirty shards) compaction ===")
+    print("\n=== incremental persistence: O(delta) checkpoints into "
+          "one log ===")
     system = build_system()
     log = RepositoryLog(system.dfs, compact_ratio=2.0)
     durable = system.restore(repository=ShardedRepository(num_shards=4),
@@ -134,40 +136,35 @@ def main():
     for name in stream:
         durable.submit(system.compile(query_text(name), name))
         outcome = durable.last_report.checkpoint
-        if outcome["compacted"]:
-            what = (f"compacted shard(s) "
-                    f"{', '.join(outcome['compacted_shards'])}")
-        else:
-            what = "appended to their shards' segments"
+        what = ("subsumed by a compaction" if outcome["compacted"]
+                else "appended to the log")
         print(f"  {name}: {outcome['appended']} change record(s) {what}")
     print(log.describe())
+    live_order = [e.output_path for e in durable.repository.scan()]
     restarted = load_repository(system.dfs)
     print(f"restart replayed {restarted.loader_report.replayed_records} "
           f"log record(s): {len(restarted)} entr(ies), scan order "
-          f"{'identical' if [e.output_path for e in restarted.scan()] == [e.output_path for e in durable.repository.scan()] else 'DIVERGED'}")
+          f"{'identical' if [e.output_path for e in restarted.scan()] == live_order else 'DIVERGED'}")
+    plain = load_repository(system.dfs, repository=Repository())
+    print(f"the same files loaded into a plain Repository: scan order "
+          f"{'identical' if [e.output_path for e in plain.scan()] == live_order else 'DIVERGED'}"
+          f" (the format knows no shard layout)")
 
-    print("\n=== on disk: per-shard sections + segments, dirty-only "
-          "compaction ===")
+    print("\n=== on disk: one snapshot + one append-only log ===")
 
     def show_layout(header):
         print(header)
         for path in system.dfs.list_files("/restore/repository.jsonl"):
             print(f"  {path}  ({system.dfs.status(path).num_lines} line(s))")
 
-    # A burst of use-stamps confined to one shard dirties only it.
     repo = durable.repository
-    target = repo.shard_id_of(repo.scan()[0])
-    victims = [e for e in repo.scan() if repo.shard_id_of(e) == target]
-    for tick in range(100, 100 + 2 * len(repo)):
-        repo.record_use(victims[tick % len(victims)], tick)
+    for tick in range(100, 100 + len(repo)):
+        repo.record_use(repo.scan()[tick % len(repo)], tick)
     log.flush()
-    show_layout("after the burst (one shard's segment has the backlog):")
-    print(f"  dirty shard(s): {log.dirty_shards()} "
-          f"(mutations were confined to shard {target})")
-    compacted = log.compact(log.dirty_shards())
-    show_layout(f"after compacting only {compacted} — the other shards' "
-                f"section files are untouched:")
-
+    show_layout("after a burst of use-stamps (the log holds the backlog):")
+    log.compact()
+    show_layout("after compact(): the snapshot is swapped in whole, then "
+                "the log truncated:")
 
 if __name__ == "__main__":
     main()

@@ -68,7 +68,8 @@ class PigSystem:
         digest of the physical plan (including input dataset versions). A
         re-submitted query therefore writes its intermediates to the same
         locations, which is what lets ReStore's repository chain sub-job
-        entries of downstream jobs across runs (see DESIGN.md).
+        entries of downstream jobs across runs (see the entry lifecycle
+        in docs/ARCHITECTURE.md).
         """
         name = f"{name or 'wf'}-{next(self._names)}"
         logical = build_logical_plan(parse_query(query_text))

@@ -2,8 +2,8 @@
 
 Aggregate semantics follow Pig: nulls are skipped; SUM/MIN/MAX of an empty
 or all-null input is null; COUNT counts rows. COUNT_DISTINCT is this
-dialect's flat replacement for PigMix's nested ``distinct`` inside FOREACH
-(see DESIGN.md, per-query notes).
+dialect's flat alternative to a nested ``distinct`` inside FOREACH (the
+PigMix L4 query in ``repro/pigmix/queries.py`` uses the nested form).
 """
 
 from repro.common.errors import DataError

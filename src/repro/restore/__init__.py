@@ -65,19 +65,17 @@ rank as the deterministic tiebreak); every applied rewrite's estimated
 vs realized savings is recorded on the
 :class:`~repro.restore.manager.ReStoreReport`'s ranking ledger.
 
-Incremental persistence (PR 4, segmented in PR 5) keeps the repository
-durable without rewriting the whole file per checkpoint: the repository
-exposes a change-event channel (``add_listener`` / ``record_use``) and
+Incremental persistence keeps the repository durable without rewriting
+the whole file per checkpoint: the repository exposes a change-event
+channel (``add_listener`` / ``record_use``) and
 :class:`~repro.restore.wal.RepositoryLog` appends one JSONL record per
-mutation — tagged with a monotonic sequence number and the owning shard
-— to that shard's own segment file. Compaction is dirty-only: a shard
-whose segment outgrows its slice gets its snapshot section rewritten
-(an immutable generation-suffixed file) and its segment truncated,
-while clean shards' sections are reused on disk — steady-state
-compaction is O(dirty shards), not O(repository). ``load_repository``
-replays sections-then-segments (merged by sequence number, with
-per-segment torn-tail tolerance and stale-record watermarks) and
-reports what it saw via
+mutation — tagged with a monotonic sequence number and a stable entry
+key — to one append-only log next to the snapshot. When the log
+outgrows the repository, compaction swaps in a fresh snapshot and
+truncates the log. ``load_repository`` replays snapshot-then-log (torn
+final line dropped, records at or below the snapshot's ``base_seq``
+skipped as stale) into a plain or sharded repository of any shard count,
+and reports what it saw via
 :class:`~repro.restore.persistence.LoaderReport`. See
 ``docs/PERSISTENCE.md`` for the durable format and
 ``docs/ARCHITECTURE.md`` for the design.
@@ -105,7 +103,6 @@ from repro.restore.persistence import (
     load_repository,
     LoaderReport,
     save_repository,
-    save_snapshot,
 )
 from repro.restore.ranking import (
     CandidateRanker,
@@ -138,7 +135,6 @@ __all__ = [
     "pairwise_plan_traversal",
     "plan_fingerprint",
     "save_repository",
-    "save_snapshot",
     "Repository",
     "RepositoryEntry",
     "RepositoryLog",

@@ -109,11 +109,9 @@ class ReStore(JobControl):
       default-configured one on this manager's DFS): the manager
       attaches it and, every ``checkpoint_every`` submits, appends the
       accumulated change records (inserts, eviction removals,
-      use-stamps) to the per-shard segment files — or compacts the
-      partitions whose segments outgrew their ratio threshold
-      (dirty-only: clean shards' snapshot sections are reused on disk).
-      The checkpoint outcome, including which shards were compacted,
-      lands on ``last_report.checkpoint``. None (the default) leaves
+      use-stamps) to the change log — or, once the log outgrows its
+      ratio threshold, compacts it into a fresh snapshot. The
+      checkpoint outcome lands on ``last_report.checkpoint``. None (the default) leaves
       persistence to explicit ``save_repository`` calls.
     """
 
@@ -138,9 +136,9 @@ class ReStore(JobControl):
         self.enable_rewrite = enable_rewrite
         self.enable_registration = enable_registration
         if persistence is True:
-            # Knob convenience: a default segmented RepositoryLog on
-            # this manager's DFS (manifest + per-shard sections and
-            # segments under /restore/repository.jsonl*).
+            # Knob convenience: a default RepositoryLog on this
+            # manager's DFS (snapshot + change log under
+            # /restore/repository.jsonl*).
             from repro.restore.wal import RepositoryLog
             persistence = RepositoryLog(dfs)
         self.persistence = persistence
@@ -204,7 +202,7 @@ class ReStore(JobControl):
 
     def close(self):
         """Flush the attached :class:`~repro.restore.wal.RepositoryLog`'s
-        pending change records to their segments.
+        pending change records to its log.
 
         Without this, records buffered since the last checkpoint are
         lost on shutdown. Idempotent, and also reachable as a context

@@ -164,29 +164,6 @@ class Repository:
         entry.stats.record_use(tick)
         self._notify("use", entry)
 
-    def shard_id_of(self, entry):
-        """The shard id owning ``entry`` — None for an unsharded
-        repository (overridden by
-        :class:`~repro.restore.sharding.ShardedRepository`)."""
-        return None
-
-    def shard_sizes(self):
-        """Entry count per partition, ``{shard_id: entries}`` — the
-        denominator of segmented persistence's per-shard dirty ratio
-        (:meth:`~repro.restore.wal.RepositoryLog.dirty_shards`). An
-        unsharded repository is one partition under the ``None`` id,
-        matching the shard tag its change events carry."""
-        return {None: len(self)}
-
-    def shard_members(self, shard_id):
-        """The entries owned by partition ``shard_id`` (unordered — the
-        segmented snapshot writer re-sorts by scan rank). The unsharded
-        repository owns everything in its single ``None`` partition."""
-        if shard_id is not None:
-            raise RepositoryError(
-                f"an unsharded repository has no shard {shard_id!r}")
-        return tuple(self._entries)
-
     def __len__(self):
         return len(self._entries)
 
@@ -316,8 +293,8 @@ class Repository:
 
     def _post_remove(self, entry):
         """Subclass hook, the removal counterpart of :meth:`_post_insert`
-        (called after the remove change event fires, so listeners can
-        still resolve the entry's shard via :meth:`shard_id_of`)."""
+        (called after the remove change event fires, so listeners still
+        see the entry in its shard)."""
 
     def _discover_edges(self, entry, entry_loads):
         """Record subsumption edges between ``entry`` and the index-reachable

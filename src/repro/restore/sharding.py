@@ -47,12 +47,11 @@ and the seed linear-scan repositories.
 
 import zlib
 
-from repro.common.errors import RepositoryError
 from repro.restore.index import LoadIndex, leaf_loads
 from repro.restore.repository import Repository
 from repro.restore.stats import ShardStats
 
-#: shard id of the catch-all partition in reports and persistence manifests
+#: shard id of the catch-all partition in reports
 CATCHALL_SHARD = -1
 
 
@@ -217,35 +216,12 @@ class ShardedRepository(Repository):
         if shard is not None:
             shard.stats.match_hits += 1
 
-    def shard_id_of(self, entry):
-        """The id of the shard owning ``entry`` (catch-all is ``-1``),
-        or None when the entry is not registered with any shard."""
-        shard = self._shard_of.get(entry.entry_id)
-        return shard.shard_id if shard is not None else None
-
-    def shard_sizes(self):
-        """Entry count per partition, ``{shard_id: entries}``, every
-        partition included (the catch-all under ``-1``, empty shards at
-        0) — the denominator of segmented persistence's per-shard dirty
-        ratio, and the partition universe its manifest records."""
-        return {shard.shard_id: len(shard) for shard in self.partitions()}
-
-    def shard_members(self, shard_id):
-        """The entries owned by partition ``shard_id``
-        (insertion-ordered; the segmented snapshot writer re-sorts by
-        scan rank). O(shard), not O(repository) — what keeps a
-        dirty-shard section rewrite proportional to the shard."""
-        for shard in self.partitions():
-            if shard.shard_id == shard_id:
-                return tuple(shard)
-        raise RepositoryError(f"no shard {shard_id!r} in this repository")
-
     # Mutation ---------------------------------------------------------------
     #
     # Inserts and removals are the inherited global operations; the
     # _post_insert/_post_remove hooks register the entry with its owning
-    # shard so that change-event listeners (incremental persistence)
-    # observe a consistent shard layout when the event fires.
+    # shard so that change-event listeners observe a consistent shard
+    # layout when the event fires.
 
     def _post_insert(self, entry):
         # The global load index just computed and cached the entry's leaf

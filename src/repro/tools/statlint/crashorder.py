@@ -1,33 +1,31 @@
 """``crash-ordering`` — persistence writes must publish before they
 destroy.
 
-docs/PERSISTENCE.md's crash-ordering table states the rule in prose:
-every segment/order-log truncation and section GC happens *after* the
-manifest swap that stops referencing the old data, and the manifest
-swap itself happens *after* the section/order-log writes it points to —
-so a crash between any two steps leaves a loadable tree. This checker
-enforces that write order statically, per function, in the persistence
-modules (files named ``wal.py`` or ``persistence.py``; the rules are
-meaningless elsewhere, e.g. for the DFS primitive that *implements*
-``write_lines``).
+docs/PERSISTENCE.md's crash table states the rule in prose: compaction
+appends nothing to the log after the snapshot swap, and truncates or
+deletes the log only *after* the swap that stops depending on it — so a
+crash between any two steps leaves a loadable snapshot and log. This
+checker enforces that write order statically, per function, in the
+persistence modules (files named ``wal.py`` or ``persistence.py``; the
+rules are meaningless elsewhere, e.g. for the DFS primitive that
+*implements* ``write_lines``).
 
 Events are DFS calls (``write_lines``, ``append_lines``, ``delete``,
 ``delete_if_exists``) collected in source pre-order — a linear
 approximation of the CFG that matches this codebase's straight-line
-persistence functions. Targets are classified: the **manifest** is
-``self.path`` or a parameter named ``path``; **section/order-log/
-segment** files are variables assigned from the path helpers
-(``section_file_path``, ``order_log_path``, ``segment_file_path``,
-``self._segment_path``). A ``write_lines(target, [])`` is a
+persistence functions. Targets are classified: the **manifest** (the
+snapshot, whose first line is the manifest) is ``self.path`` or a
+parameter named ``path``; the **log** is a variable assigned from the
+``log_file_path`` helper. A ``write_lines(target, [])`` is a
 truncation.
 
 Rules, within one function:
 
 * R1 *truncate-after-publish* — a truncation or delete that precedes a
   manifest write destroys data the old manifest still references;
-* R2 *publish-after-content* — a section/order-log/segment write after
-  the manifest write means the new manifest references files that do
-  not exist yet;
+* R2 *publish-after-content* — a log append after the manifest write
+  lands records the new snapshot's ``base_seq`` already covers (or that
+  a following truncation drops);
 * R3 *atomic-manifest* — deleting the manifest in a function that also
   writes it is the non-atomic delete-then-write idiom; the swap must be
   one ``write_lines(..., overwrite=True)`` call (write-new-then-swap);
@@ -39,10 +37,7 @@ import ast
 
 from repro.tools.statlint.core import register
 
-_PATH_HELPERS = {"section_file_path": "section",
-                 "order_log_path": "order log",
-                 "segment_file_path": "segment",
-                 "_segment_path": "segment"}
+_PATH_HELPERS = {"log_file_path": "log"}
 _DFS_CALLS = {"write_lines", "append_lines", "delete", "delete_if_exists"}
 
 
@@ -100,9 +95,9 @@ class CrashOrdering:
                 if event.line > first_publish:
                     yield mod.finding(self.rule, event.line, (
                         "%s write at line %d follows the manifest swap at "
-                        "line %d; the new manifest references data not "
-                        "yet durable" % (event.category, event.line,
-                                         first_publish)))
+                        "line %d; content must be durable before the swap "
+                        "that covers it" % (event.category, event.line,
+                                            first_publish)))
         for event in manifest_writes:
             if not event.overwrite:
                 yield mod.finding(self.rule, event.line, (

@@ -67,36 +67,60 @@ class TestRepoDocs:
                   encoding="utf-8") as handle:
             text = handle.read()
         for topic in ("lifecycle", "fingerprint", "shard", "manifest",
-                      "segment", "dirty"):
+                      "snapshot", "base_seq", "compaction"):
             assert topic in text.lower()
 
     def test_persistence_reference_covers_required_topics(self):
         """docs/PERSISTENCE.md is the registered durable-format
-        reference: it must keep the lineage, grammar, watermark, and
-        crash-ordering material the loaders/writers implement."""
+        reference: it must keep the inventory, grammar, watermark,
+        crash-ordering and attach-guard material the loader and writers
+        implement."""
         with open(_repo_path("docs", "PERSISTENCE.md"),
                   encoding="utf-8") as handle:
             text = handle.read()
-        for topic in ("restore-manifest", "base_seq", "last_seq",
-                      "watermark", "section", "segment", "torn", "stale",
-                      "dangling", "walkthrough", "snapshot-before-",
-                      "migration"):
+        for topic in ("file inventory", "restore-manifest", "base_seq",
+                      "watermark", "snapshot", "log", "torn", "stale",
+                      "dangling", "orphaned", "walkthrough",
+                      "snapshot-before-", "wipe guard", "version 6"):
             assert topic in text.lower(), topic
-        for version in ("v1", "v2", "v3", "v4", "v5"):
-            assert version in text
 
     def test_analysis_reference_covers_required_topics(self):
-        """docs/ANALYSIS.md is the statlint reference: rule catalog,
-        annotation conventions, suppression grammar, baseline flow."""
+        """docs/ANALYSIS.md is the statlint reference: every registered
+        rule (read from the registry, so a deleted rule stops being
+        required and a new one cannot go undocumented), plus annotation
+        conventions, suppression grammar and the baseline flow."""
+        from repro.tools.statlint import rule_ids
+
         with open(_repo_path("docs", "ANALYSIS.md"),
                   encoding="utf-8") as handle:
-            text = handle.read()
-        for topic in ("lock-discipline", "lock-ordering", "fork-safety",
-                      "crash-ordering", "exception-hygiene",
-                      "suppression-hygiene", "guarded_by",
-                      "process-entrypoint", "baseline", "--fail-on-new",
+            text = handle.read().lower()
+        assert rule_ids()
+        for rule in rule_ids():
+            assert f"`{rule}`" in text, rule
+        for topic in ("guarded_by", "baseline", "--fail-on-new",
                       "justification", "limitations"):
-            assert topic in text.lower(), topic
+            assert topic in text, topic
+
+    def test_every_named_markdown_file_exists(self):
+        """Every ``*.md`` file named in the source, benchmarks or
+        examples resolves, against the repo root or ``docs/``."""
+        pattern = re.compile(r"[\w./-]*[A-Za-z_]\w*\.md\b")
+        missing = []
+        for top in ("src", "benchmarks", "examples"):
+            for root, _, files in os.walk(_repo_path(top)):
+                for name in files:
+                    if not name.endswith(".py"):
+                        continue
+                    path = os.path.join(root, name)
+                    with open(path, encoding="utf-8") as handle:
+                        text = handle.read()
+                    for ref in set(pattern.findall(text)):
+                        ref = ref.lstrip("./")
+                        if not any(os.path.exists(_repo_path(base, ref))
+                                   for base in ("", "docs")):
+                            missing.append((os.path.relpath(path, REPO_ROOT),
+                                            ref))
+        assert missing == []
 
 
 class TestDoccheckTool:

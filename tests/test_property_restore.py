@@ -54,7 +54,6 @@ from repro.restore import (
     ShardedRepository,
 )
 from repro.restore.matcher import contains, find_containment, pairwise_plan_traversal
-from repro.restore.persistence import CATCHALL_LABEL, segment_file_path
 from repro.restore.stats import EntryStats
 
 SCHEMA = Schema(
@@ -422,17 +421,11 @@ def _assert_reload_matches_live(dfs, live, plan_pool, rng, context):
     return reloaded
 
 
-def _segment_paths(dfs, log):
-    """The segment files the log has materialized so far."""
-    return dfs.list_files(prefix=f"{log.log_path}.")
-
-
 def test_property_log_replay_matches_live(plan_pool):
     """60 randomized mutation streams, each against a live repository
     with an attached RepositoryLog at a random compaction ratio; crash
-    and reload at random points — per-segment torn tails and crashes
-    between one shard's section rewrite and its segment truncation
-    included."""
+    and reload at random points — torn log tails and crashes between the
+    compaction's snapshot swap and its log truncation included."""
     for stream in range(60):
         rng = random.Random(4000 + stream)
         dfs = DistributedFileSystem()
@@ -464,47 +457,41 @@ def test_property_log_replay_matches_live(plan_pool):
                 tick += 1
                 live.record_use(live.scan()[rng.randrange(len(live))], tick)
             if rng.random() < 0.45:
-                before = {file: dfs.read_lines(file)
-                          for file in _segment_paths(dfs, log)}
+                before = (dfs.read_lines(log.log_path)
+                          if dfs.exists(log.log_path) else [])
                 outcome = log.checkpoint()
                 crash = rng.random()
-                reverted = None
+                reverted = False
                 if outcome["compacted"] and crash < 0.35:
-                    # Crash between one shard's section rewrite and its
-                    # segment truncation: the old records come back, all
-                    # at or below the new section's watermark.
-                    label = rng.choice(outcome["compacted_shards"])
-                    segment = segment_file_path(log.log_path, label)
-                    old = before.get(segment, [])
-                    if old:
-                        dfs.write_lines(segment, old, overwrite=True)
+                    # Crash between the snapshot swap and the log
+                    # truncation: the old records come back, all at or
+                    # below the new snapshot's base_seq.
+                    if before:
+                        dfs.write_lines(log.log_path, before, overwrite=True)
                         reloaded = _assert_reload_matches_live(
                             dfs, live, plan_pool, rng, context + " (stale)")
                         assert reloaded.loader_report.stale_records \
-                            == len(old), context
-                        reverted = segment  # un-crash below
+                            == len(before), context
+                        reverted = True  # un-crash below
                 elif crash < 0.7:
-                    # Crash mid-append of the next record: one segment
-                    # gains a torn final line, which replay must drop.
-                    candidates = _segment_paths(dfs, log)
-                    segment = (rng.choice(candidates) if candidates else
-                               segment_file_path(log.log_path,
-                                                 CATCHALL_LABEL))
-                    dfs.append_lines(segment, ['{"seq": 10**9, "op'])
+                    # Crash mid-append of the next record: the log gains
+                    # a torn final line, which replay must drop.
+                    dfs.append_lines(log.log_path, ['{"seq": 10**9, "op'])
                     reloaded = _assert_reload_matches_live(
                         dfs, live, plan_pool, rng, context + " (torn)")
                     assert reloaded.loader_report.torn_tail_dropped == 1, \
                         context
                     # The live process did not actually crash: un-tear
                     # the tail so its next append stays well-formed.
-                    dfs.write_lines(segment, dfs.read_lines(segment)[:-1],
+                    dfs.write_lines(log.log_path,
+                                    dfs.read_lines(log.log_path)[:-1],
                                     overwrite=True)
                 else:
                     _assert_reload_matches_live(dfs, live, plan_pool, rng,
                                                 context)
-                if reverted is not None:
+                if reverted:
                     # Back to the live process's truncated reality.
-                    dfs.write_lines(reverted, [], overwrite=True)
+                    dfs.write_lines(log.log_path, [], overwrite=True)
         log.checkpoint()
         _assert_reload_matches_live(dfs, live, plan_pool, rng,
                                     f"stream={stream} final")
@@ -556,14 +543,10 @@ def test_property_manager_survives_crash_reload():
             crashy_mgr._mat_counter = crashy_counter
             crashy_mgr.submit(crashy.compile(query, f"s{name_index}"))
             if rng.random() < 0.5:
-                # Crash mid-append before the next restart: tear a
-                # random segment's tail (the catch-all when none has
-                # materialized yet — every manifest references it).
-                base = crashy_mgr.persistence.log_path
-                segments = crashy.dfs.list_files(prefix=f"{base}.")
-                target = (rng.choice(segments) if segments else
-                          segment_file_path(base, CATCHALL_LABEL))
-                crashy.dfs.append_lines(target, ['{"seq": 10**9, "op'])
+                # Crash mid-append before the next restart: tear the
+                # log's tail.
+                crashy.dfs.append_lines(crashy_mgr.persistence.log_path,
+                                        ['{"seq": 10**9, "op'])
 
             label = f"stream={stream} query={name_index}"
             assert _report_shape(crashy_mgr) == _report_shape(steady_mgr), label

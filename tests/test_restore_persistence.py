@@ -20,6 +20,7 @@ from repro.restore.persistence import (
     entry_from_json,
     entry_to_json,
     MANIFEST_KEY,
+    MANIFEST_VERSION,
     plan_from_json,
     plan_to_json,
     schema_from_json,
@@ -195,11 +196,11 @@ class TestIndexRoundtrip:
         restore = system.restore()
         restore.submit(system.compile(Q1_TEXT))
         save_repository(restore.repository, system.dfs)
-        lines = system.dfs.read_lines("/restore/repository.jsonl")
-        doctored = []
+        manifest, *lines = system.dfs.read_lines("/restore/repository.jsonl")
+        doctored = [manifest]
         for line in lines:
             record = json.loads(line)
-            record["fingerprint"] = "0" * 64
+            record["entry"]["fingerprint"] = "0" * 64
             doctored.append(json.dumps(record, sort_keys=True))
         system.dfs.write_lines("/restore/repository.jsonl", doctored,
                                overwrite=True)
@@ -226,7 +227,7 @@ class TestIndexRoundtrip:
         reloaded = load_repository(system.dfs)
         report = reloaded.loader_report
         assert report.fingerprint_mismatches == 0
-        assert report.format_version == 1
+        assert report.format_version == MANIFEST_VERSION
         assert report.entries_loaded == len(reloaded)
         assert "fingerprint mismatch" in report.describe()
         assert report.as_dict()["entries_loaded"] == len(reloaded)
@@ -295,8 +296,9 @@ class TestIndexRoundtrip:
 
 
 class TestShardedPersistence:
-    """PR 2: the v2 manifest + per-shard-section format, and backward
-    compatibility of pre-shard v1 files with sharded deployments."""
+    """The snapshot format is shard-agnostic: a file saved from any
+    repository loads into a plain or sharded repository of any shard
+    count with the same scan order and match decisions."""
 
     def _populated(self, repository):
         system = pigmix_system()
@@ -305,24 +307,21 @@ class TestShardedPersistence:
         restore.submit(system.compile(Q2_TEXT))
         return system, restore.repository
 
-    def test_sharded_save_writes_manifest_and_sections(self):
+    def test_sharded_save_writes_manifest_and_entries(self):
         system, repository = self._populated(ShardedRepository(num_shards=4))
         save_repository(repository, system.dfs)
         lines = system.dfs.read_lines("/restore/repository.jsonl")
         manifest = json.loads(lines[0])
-        assert manifest[MANIFEST_KEY] == 2
-        assert manifest["num_shards"] == 4
-        assert manifest["entries"] == len(repository) == len(lines) - 1
-        # Section counts add up, and the body is grouped by shard:
-        # positions within the file are contiguous runs per shard.
-        assert sum(s["entries"] for s in manifest["sections"]) == len(repository)
+        assert manifest == {MANIFEST_KEY: MANIFEST_VERSION, "num_shards": 4,
+                            "entries": len(repository), "base_seq": 0,
+                            "log": None}
+        # One {"key", "entry"} line per entry, in scan order — no shard
+        # grouping and no positions: the file order is the scan order.
         records = [json.loads(line) for line in lines[1:]]
-        cursor = 0
-        for section in manifest["sections"]:
-            run = records[cursor:cursor + section["entries"]]
-            cursor += section["entries"]
-            for record in run:
-                assert "position" in record and "entry" in record
+        assert [record["entry"]["output_path"] for record in records] == \
+            [entry.output_path for entry in repository.scan()]
+        assert [record["key"] for record in records] == \
+            [f"s{position}" for position in range(len(repository))]
 
     def test_sharded_roundtrip_preserves_order_and_layout(self):
         system, repository = self._populated(ShardedRepository(num_shards=4))
@@ -377,10 +376,11 @@ class TestShardedPersistence:
                 == system.dfs.read_lines("/restore/b"))
 
     def test_legacy_single_file_loads_into_sharded_repository(self):
-        """Satellite: a pre-shard v1 JSONL file must load into a
-        ShardedRepository with identical scan order and match decisions."""
+        """A file saved from a plain (pre-shard) repository must load
+        into a ShardedRepository with identical scan order and match
+        decisions."""
         system, plain = self._populated(Repository())
-        save_repository(plain, system.dfs)  # v1 single-file format
+        save_repository(plain, system.dfs)
         migrated = load_repository(system.dfs,
                                    repository=ShardedRepository(num_shards=8))
         assert isinstance(migrated, ShardedRepository)
@@ -395,7 +395,8 @@ class TestShardedPersistence:
             assert found.output_path == entry.output_path
 
     def test_legacy_reuse_through_migrated_manager(self):
-        """End to end: v1 file -> sharded repository -> Q2 still reuses."""
+        """End to end: plain-repository file -> sharded repository -> Q2
+        still reuses."""
         system, plain = self._populated(Repository())
         save_repository(plain, system.dfs)
         baseline = pigmix_system()
@@ -426,10 +427,112 @@ class TestShardedPersistence:
         with pytest.raises(RepositoryError):
             load_repository(system.dfs, "/restore/truncated")
 
-    def test_future_format_version_rejected(self):
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 7, 99])
+    def test_future_format_version_rejected(self, version):
         system = pigmix_system()
-        manifest = json.dumps({MANIFEST_KEY: 99, "num_shards": 2,
-                               "entries": 0, "sections": []})
+        manifest = json.dumps({MANIFEST_KEY: version, "num_shards": 2,
+                               "entries": 0})
         system.dfs.write_lines("/restore/future", [manifest], overwrite=True)
-        with pytest.raises(RepositoryError):
+        with pytest.raises(RepositoryError,
+                           match=f"format version {version}\\b"):
             load_repository(system.dfs, "/restore/future")
+
+    def test_file_without_manifest_rejected(self):
+        """A first line that is an entry rather than a manifest (the
+        retired single-file layout) is refused, not guessed at."""
+        system, plain = self._populated(Repository())
+        entry = json.dumps(entry_to_json(plain.scan()[0]), sort_keys=True)
+        system.dfs.write_lines("/restore/bare", [entry], overwrite=True)
+        with pytest.raises(RepositoryError,
+                           match="line 0 is not a JSON object with "
+                                 "'restore-manifest'"):
+            load_repository(system.dfs, "/restore/bare")
+
+    def test_corrupt_manifest_line_names_file_and_line(self):
+        system, repository = self._populated(ShardedRepository(num_shards=4))
+        save_repository(repository, system.dfs)
+        lines = system.dfs.read_lines("/restore/repository.jsonl")
+        system.dfs.write_lines("/restore/torn",
+                               [lines[0][:len(lines[0]) // 2]] + lines[1:],
+                               overwrite=True)
+        with pytest.raises(RepositoryError,
+                           match=r"'/restore/torn': line 0 "):
+            load_repository(system.dfs, "/restore/torn")
+
+    def test_corrupt_entry_line_names_file_and_line(self):
+        system, repository = self._populated(ShardedRepository(num_shards=4))
+        save_repository(repository, system.dfs)
+        lines = system.dfs.read_lines("/restore/repository.jsonl")
+        assert len(lines) >= 3
+        lines[2] = lines[2][:-10]  # a truncated entry record
+        system.dfs.write_lines("/restore/torn", lines, overwrite=True)
+        with pytest.raises(RepositoryError,
+                           match=r"'/restore/torn': line 2 "):
+            load_repository(system.dfs, "/restore/torn")
+
+    def test_entry_line_without_entry_rejected(self):
+        system, repository = self._populated(ShardedRepository(num_shards=4))
+        save_repository(repository, system.dfs)
+        lines = system.dfs.read_lines("/restore/repository.jsonl")
+        lines[1] = json.dumps({"key": "s0"})
+        system.dfs.write_lines("/restore/odd", lines, overwrite=True)
+        with pytest.raises(RepositoryError,
+                           match=r"'/restore/odd': line 1 .* 'entry'"):
+            load_repository(system.dfs, "/restore/odd")
+
+    def test_loader_report_describes_the_load(self):
+        system, repository = self._populated(Repository())
+        save_repository(repository, system.dfs)
+        report = load_repository(system.dfs).loader_report
+        summary = report.as_dict()
+        assert summary["format_version"] == MANIFEST_VERSION
+        assert summary["log_path"] is None
+        assert summary["entries_loaded"] == len(repository)
+        assert summary["replayed_records"] == summary["stale_records"] == 0
+        assert f"format v{MANIFEST_VERSION}" in report.describe()
+        assert repr(report).startswith("LoaderReport(")
+
+    def test_snapshot_is_shard_agnostic(self):
+        """A snapshot + log written from an 8-shard repository loads
+        with no target, into a plain Repository, and into 2 shards, each
+        with the live scan order, per-entry state, find_equivalent
+        answers and match_candidates order — and a log attached to the
+        no-target reload resumes without a healing compaction."""
+        from repro.restore import RepositoryLog
+
+        system, live = self._populated(ShardedRepository(num_shards=8))
+        log = RepositoryLog(system.dfs, compact_ratio=100.0).attach(live)
+        live.record_use(live.scan()[-1], tick=41)
+        live.remove(live.scan()[0])
+        log.flush()
+        job = system.compile(Q2_TEXT).topological_jobs()[0]
+
+        def state(repository):
+            return [(e.output_path, e.fingerprint, e.input_versions,
+                     e.stats.use_count, e.stats.last_used_tick,
+                     e.stats.created_tick, e._sequence)
+                    for e in repository.scan()]
+
+        targets = {"none": None, "plain": Repository(),
+                   "sharded2": ShardedRepository(num_shards=2)}
+        reloads = {}
+        for name, target in targets.items():
+            reloaded = load_repository(system.dfs, repository=target)
+            assert state(reloaded) == state(live), name
+            for entry in live.scan():
+                found = reloaded.find_equivalent(entry.plan)
+                assert found.output_path == entry.output_path, name
+            assert [e.output_path
+                    for e in reloaded.match_candidates(job.plan)] == \
+                [e.output_path for e in live.match_candidates(job.plan)], name
+            reloads[name] = reloaded
+        assert type(reloads["none"]) is ShardedRepository
+        assert reloads["none"].num_shards == 8
+        assert type(reloads["plain"]) is Repository
+        assert reloads["sharded2"].num_shards == 2
+        log.close()
+        snapshot_version = system.dfs.status("/restore/repository.jsonl").version
+        resumed = RepositoryLog(system.dfs).attach(reloads["none"])
+        assert system.dfs.status("/restore/repository.jsonl").version == \
+            snapshot_version  # no healing compaction
+        assert resumed.log_records == reloads["none"].loader_report.log_records

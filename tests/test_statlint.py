@@ -311,24 +311,24 @@ class TestCrashOrdering:
         findings = _run(CrashOrdering, _mod('''
             class Log:
                 def compact(self):
-                    segment = self._segment_path(0)
-                    self.dfs.write_lines(segment, [])
+                    log = log_file_path(self.path)
+                    self.dfs.write_lines(log, [])
                     self.dfs.write_lines(self.path, ["m"], overwrite=True)
         ''', relpath="wal.py"))
         assert len(findings) == 1
         assert "precedes the manifest swap" in findings[0].message
 
-    def test_section_write_after_manifest_swap(self):
+    def test_log_write_after_manifest_swap(self):
         findings = _run(CrashOrdering, _mod('''
             class Persistence:
                 def checkpoint(self, root):
-                    section = section_file_path(root, 1)
+                    log = log_file_path(root)
                     self.dfs.write_lines(self.path, ["m"], overwrite=True)
-                    self.dfs.write_lines(section, ["s"], overwrite=True)
+                    self.dfs.append_lines(log, ["r"])
         ''', relpath="persistence.py"))
         assert len(findings) == 1
         assert "follows the manifest swap" in findings[0].message
-        assert "section" in findings[0].message
+        assert "log" in findings[0].message
 
     def test_delete_then_write_manifest(self):
         findings = _run(CrashOrdering, _mod('''
@@ -350,21 +350,53 @@ class TestCrashOrdering:
         assert "overwrite=True" in findings[0].message
 
     def test_correct_compact_shape_clean(self):
-        # The real compaction order: content first, manifest swap,
-        # truncations and GC deletes last.
+        # The real compaction order: log appends first, the snapshot
+        # swap, then the log truncation.
         findings = _run(CrashOrdering, _mod('''
             class Log:
                 def compact(self, root):
-                    section = section_file_path(root, 1)
-                    order_log = order_log_path(root)
-                    segment = self._segment_path(0)
-                    self.dfs.write_lines(section, ["s"], overwrite=True)
-                    self.dfs.write_lines(order_log, ["o"], overwrite=True)
+                    log = log_file_path(root)
+                    self.dfs.append_lines(log, ["r"])
                     self.dfs.write_lines(self.path, ["m"], overwrite=True)
-                    self.dfs.write_lines(segment, [])
-                    self.dfs.delete_if_exists(order_log)
+                    self.dfs.write_lines(log, [])
+                    self.dfs.delete_if_exists(log)
         ''', relpath="wal.py"))
         assert findings == []
+
+    def test_truncating_the_log_attribute_before_the_swap(self):
+        findings = _run(CrashOrdering, _mod('''
+            class Log:
+                def compact(self):
+                    self.dfs.write_lines(self.log_path, [], overwrite=True)
+                    self.dfs.write_lines(self.path, ["m"], overwrite=True)
+        ''', relpath="wal.py"))
+        assert len(findings) == 1
+        assert "truncate" in findings[0].message
+
+    def test_real_compaction_order_is_checked(self):
+        """Guard against a vacuous pass on the shipped code: swapping
+        the real compaction's snapshot swap and log truncation must
+        produce a finding."""
+        import repro.restore.wal as wal
+
+        with open(wal.__file__, encoding="utf-8") as handle:
+            source = handle.read()
+        swap = ("        self.dfs.write_lines(\n"
+                "            self.path,\n"
+                "            snapshot_lines(self.repository, self._keys, "
+                "self._seq,\n"
+                "                           self.log_path, self.ranker),\n"
+                "            overwrite=True)\n")
+        truncate = ("        if self.dfs.exists(self.log_path):\n"
+                    "            self.dfs.write_lines(self.log_path, [], "
+                    "overwrite=True)\n")
+        assert swap + truncate in source
+        assert _run(CrashOrdering, SourceModule(
+            "wal.py", "wal.py", source)) == []
+        broken = source.replace(swap + truncate, truncate + swap)
+        findings = _run(CrashOrdering, SourceModule("wal.py", "wal.py", broken))
+        assert len(findings) == 1
+        assert "precedes the manifest swap" in findings[0].message
 
     def test_rules_only_apply_in_persistence_modules(self):
         # The DFS facade implements write_lines; the ordering rules are
